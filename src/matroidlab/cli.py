@@ -38,7 +38,7 @@ from .engine import (
     search_orderings,
     standard_ordering,
 )
-from .errors import MatroidlabError
+from .errors import BadParams, MatroidlabError
 from .families import (
     describe_named,
     list_named,
@@ -73,6 +73,8 @@ def _load_matroid(path: str) -> tuple:
         raise MatroidlabError("input must be a JSON object")
     if "matroid" in data:
         ordering = data.get("ordering")
+        if ordering is not None and not isinstance(ordering, list):
+            raise BadParams("embedded ordering must be a list of labels")
         return matroid_from_json(data["matroid"]), ordering
     return matroid_from_json(data), None
 

@@ -22,21 +22,21 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from math import factorial
 from typing import NamedTuple
 
 from .complexes import HVector, Ordering, bc_facets, f_h_vectors
 from .errors import (
-    BadParams, InfiniteLowerIdeal, LsopInvalid, NoCocircuitPair, NotRegular,
-    NotStandardOrdering,
+    BadParams, InfiniteLowerIdeal, LsopInvalid, NoCocircuitPair, NotStandardOrdering,
 )
 from .fields import Field, GF2_FIELD, field_from_name
-from .incidence import basis_is_nonsingular
-from .linalg import Matrix, RowSpace
+from .incidence import basis_is_nonsingular, fundamental_rows
+from .linalg import Matrix
 from .matroids import Matroid, matroid_from_json
 from .polynomials import (
     Ideal, Monomial, OrderIdealSet, Polynomial, groebner_basis,
-    minimal_generators, monomials_independent_in_quotient, normal_form,
+    minimal_generators, monomials_independent_in_quotient, normal_form_span,
     order_key,
 )
 
@@ -141,61 +141,6 @@ def iter_standard_orderings(matroid: Matroid, start: int = 0, stop: int | None =
         yield standard_ordering_at(matroid, k)
 
 
-# -- per-basis cached fundamental data ----------------------------------------
-
-
-def _fundamental_rows(matroid: Matroid, basis: frozenset, field: Field) -> dict:
-    """Sparse signed fundamental cocircuit rows: {basis elt: {label: coeff}}.
-
-    Entries depend only on the basis, not on the ordering, so they are
-    cached per (field, basis).  Over characteristic 2 a representation-free
-    combinatorial fallback covers matroids with no representation.
-    """
-    key = ("fund_rows", field.name, basis)
-    cached = matroid._cache.get(key)
-    if cached is not None:
-        return cached
-    pos = matroid.position
-    rows: dict = {}
-    try:
-        rep = matroid.representation_over(field)
-    except NotRegular:
-        if field.char != 2:
-            raise
-        rep = None
-    if rep is None:
-        one = field.one()
-        for b in sorted(basis, key=pos.get):
-            supp = matroid.fundamental_cocircuit(basis, b)
-            rows[b] = {e: one for e in supp}
-    else:
-        order = sorted(matroid.ground, key=pos.get)
-        col_of = {lab: j for j, lab in enumerate(rep.col_labels)}
-        perm = rep.select_columns([col_of[lab] for lab in order])
-        basis_cols = [i for i, lab in enumerate(order) if lab in basis]
-        sf = perm.standard_form(basis_cols)
-        z = field.zero()
-        allowed = {z, field.one(), field.neg(field.one())}
-        for i, ci in enumerate(basis_cols):
-            row = sf.entries[i]
-            if any(x not in allowed for x in row):
-                bad = next(x for x in row if x not in allowed)
-                raise NotRegular(f"cocircuit entry {field.show(bad)} outside 0,+1,-1")
-            rows[order[ci]] = {lab: x for lab, x in zip(order, row) if x != z}
-    matroid._cache[key] = rows
-    return rows
-
-
-def _coc_positions(matroid: Matroid, std: StandardOrdering) -> dict:
-    """{basis position j (1-based): sorted positions of coc(B, e_j)}."""
-    rows = _fundamental_rows(matroid, frozenset(std.basis), GF2_FIELD)
-    position = std.ordering.position
-    out = {}
-    for b in std.basis:
-        out[position(b)] = tuple(sorted(position(e) for e in rows[b]))
-    return out
-
-
 # -- theta systems -------------------------------------------------------------
 
 
@@ -234,7 +179,7 @@ def lsop(
     t = n - r
     F = field
     z = F.zero()
-    rows = _fundamental_rows(matroid, frozenset(std.basis), F)
+    rows = fundamental_rows(matroid, std.basis, F)
     position = std.ordering.position
     coc_rows = []
     forms = []
@@ -286,13 +231,10 @@ def lsop(
 def dj_values(matroid: Matroid, std: StandardOrdering) -> tuple:
     """d_1..d_n: position itself for cobasis positions, else the smallest
     position inside the fundamental cocircuit of that basis element."""
-    n = len(std.labels)
-    t = n - std.rank
-    coc = _coc_positions(matroid, std)
-    d = []
-    for j in range(1, n + 1):
-        d.append(j if j <= t else min(coc[j]))
-    return tuple(d)
+    rows = fundamental_rows(matroid, std.basis, GF2_FIELD)
+    position = std.ordering.position
+    t = len(std.cobasis)
+    return tuple(range(1, t + 1)) + tuple(min(map(position, rows[b])) for b in std.basis)
 
 
 def candidate_monomials(matroid: Matroid, std: StandardOrdering) -> tuple:
@@ -392,28 +334,6 @@ def _h_vector(matroid: Matroid, std: StandardOrdering) -> HVector:
     return cached
 
 
-def _independent_via_groebner(ideal: Ideal, mons) -> tuple:
-    key = order_key("grlex", ideal.nvars)
-    gb = groebner_basis(ideal, "grlex")
-    F = ideal.field
-    z = F.zero()
-    reduced = []
-    cols: dict = {}
-    for m in sorted(mons, key=key):
-        nf = normal_form(Polynomial.from_monomial(F, ideal.nvars, m), gb, key)
-        reduced.append((m, nf))
-        for mm in nf.terms:
-            cols.setdefault(mm, len(cols))
-    space = RowSpace(F, len(cols))
-    for m, nf in reduced:
-        row = [z] * len(cols)
-        for mm, c in nf.terms.items():
-            row[cols[mm]] = c
-        if not space.add(row):
-            return (False, m)
-    return (True, None)
-
-
 def nbc_check(
     matroid: Matroid,
     std: StandardOrdering,
@@ -485,7 +405,8 @@ def nbc_check(
     if method in ("macaulay", "both"):
         results.append(monomials_independent_in_quotient(theta.ideal, L))
     if method in ("groebner", "both"):
-        results.append(_independent_via_groebner(theta.ideal, L))
+        wit = normal_form_span(theta.ideal, groebner_basis(theta.ideal, "grlex"), L)[0]
+        results.append((wit is None, wit))
     if len(results) == 2 and results[0][0] != results[1][0]:
         raise AssertionError(f"independence paths disagree: {results}")
     ok, wit = results[0]
@@ -628,7 +549,10 @@ def _policy_indices(policy: str, total: int):
         parts = policy.split(":")
         if len(parts) != 3:
             raise BadParams("sample policy must be sample:COUNT:SEED")
-        count, seed = int(parts[1]), int(parts[2])
+        try:
+            count, seed = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise BadParams("sample policy must be sample:COUNT:SEED with integers") from None
         if count <= 0:
             raise BadParams("sample count must be positive")
         if count >= total:
@@ -694,7 +618,10 @@ def _parse_shard(shard) -> tuple:
         parts = shard.split("/")
         if len(parts) != 2:
             raise BadParams("shard must look like i/m")
-        shard = (int(parts[0]), int(parts[1]))
+        try:
+            shard = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise BadParams("shard must look like i/m with integers") from None
     i, m = shard
     if m < 1 or not 0 <= i < m:
         raise BadParams(f"shard index {i} outside [0, {m})")
@@ -733,9 +660,14 @@ def search_orderings(
     domain = len(indices)
     digest = _matroid_digest(matroid)
     if workers is None:
-        workers = int(os.environ.get("MATROIDLAB_WORKERS", "1"))
+        try:
+            workers = int(os.environ.get("MATROIDLAB_WORKERS", "1"))
+        except ValueError:
+            raise BadParams("MATROIDLAB_WORKERS must be an integer") from None
     if workers < 1:
         raise BadParams("workers must be >= 1")
+    if checkpoint_every < 1:
+        raise BadParams("checkpoint interval must be >= 1")
     tallies = {"basis": 0, "wrong_cardinality": 0, "lsop_invalid": 0, "not_independent": 0}
     basis_indices: list = []
     first_basis = None
@@ -753,22 +685,21 @@ def search_orderings(
     stop_early = policy == "first-hit"
     done_early = bool(stop_early and first_basis is not None)
 
-    def absorb(batch) -> bool:
+    def absorb(k, verdict, reason) -> bool:
+        """Tally one result; True when it ends a first-hit scan."""
         nonlocal first_basis
-        for k, verdict, reason in batch:
-            key = "basis" if verdict == "basis" else reason
-            tallies[key] = tallies.get(key, 0) + 1
-            if verdict == "basis":
-                if len(basis_indices) < BASIS_INDEX_CAP:
-                    basis_indices.append(k)
-                if first_basis is None:
-                    first_basis = {
-                        "index": k,
-                        "ordering": list(standard_ordering_at(matroid, k).labels),
-                    }
-                if stop_early:
-                    return True
-        return False
+        key = "basis" if verdict == "basis" else reason
+        tallies[key] = tallies.get(key, 0) + 1
+        if verdict != "basis":
+            return False
+        if len(basis_indices) < BASIS_INDEX_CAP:
+            basis_indices.append(k)
+        if first_basis is None:
+            first_basis = {
+                "index": k,
+                "ordering": list(standard_ordering_at(matroid, k).labels),
+            }
+        return stop_early
 
     since_save = 0
 
@@ -781,38 +712,36 @@ def search_orderings(
             )
             since_save = 0
 
-    if not done_early:
+    def results(start: int):
+        """(index, verdict, reason) for the index list from `start`, in order."""
         if workers == 1:
-            while cursor < domain:
-                batch = [_check_one(matroid, indices[cursor], field)]
+            for i in range(start, domain):
+                yield _check_one(matroid, indices[i], field)
+            return
+        data = matroid.to_json()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            while start < domain:
+                window = []
+                while start < domain and len(window) < workers * 4:
+                    window.append([indices[i] for i in range(start, min(start + chunk_size, domain))])
+                    start += len(window[-1])
+                futures = [
+                    pool.submit(_search_chunk, (data, field.name, chunk)) for chunk in window
+                ]
+                for fut in futures:
+                    yield from fut.result()
+
+    if not done_early:
+        # the cursor advances one result at a time, so a first-hit scan stops
+        # at the hit whatever the worker count
+        with closing(results(cursor)) as stream:
+            for k, verdict, reason in stream:
                 cursor += 1
                 since_save += 1
-                hit = absorb(batch)
-                maybe_save()
-                if hit:
+                if absorb(k, verdict, reason):
                     done_early = True
                     break
-        else:
-            data = matroid.to_json()
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                while cursor < domain and not done_early:
-                    window = []
-                    w_cursor = cursor
-                    while w_cursor < domain and len(window) < workers * 4:
-                        chunk = [indices[i] for i in range(w_cursor, min(w_cursor + chunk_size, domain))]
-                        window.append(chunk)
-                        w_cursor += len(chunk)
-                    futures = [
-                        pool.submit(_search_chunk, (data, field.name, chunk)) for chunk in window
-                    ]
-                    for fut, chunk in zip(futures, window):
-                        batch = fut.result()
-                        cursor += len(chunk)
-                        since_save += len(chunk)
-                        if absorb(batch):
-                            done_early = True
-                            break
-                        maybe_save()
+                maybe_save()
     maybe_save(force=True)
     completed = done_early or cursor >= domain
     return SearchReport(

@@ -50,10 +50,6 @@ class DegenerateElement(MatroidlabError):
     """Operation requires a non-loop, non-coloop element."""
 
 
-class UnsolvableTheta(MatroidlabError):
-    """Linear system defining the substitution cannot be solved."""
-
-
 class NotArtinian(MatroidlabError):
     """Quotient ring is not finite-dimensional."""
 

@@ -183,6 +183,6 @@ def field_from_name(name: str) -> Field:
         return GF2_FIELD
     if token in ("q", "rational"):
         return Q_FIELD
-    if token.startswith("gf"):
+    if token.startswith("gf") and token[2:].isdigit():
         return GFp(int(token[2:]))
     raise BadParams(f"unknown field {name!r}")

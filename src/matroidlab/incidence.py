@@ -6,6 +6,14 @@ incidence indicators and need no representation; over other fields the
 entries come from a representation and must land in {-1, 0, +1}, else the
 construction raises NotRegular.
 
+fundamental_rows is the one builder of the fundamental cocircuit rows of a
+basis, which the engine's linear system and fundamental_matrices share.
+Over GF(2) it reads them off the independence oracle.  That is sound
+because a GF(2) row is its support and the standard form of any binary
+representation on B has row b supported exactly on the fundamental
+cocircuit C*(B, b).  A matroid with no binary representation gets the same
+oracle rows; they are what a representation-free reading always gave it.
+
 Sign conventions are fixed so identical inputs give identical matrices:
 the cocircuit rows attached to a basis are the rows of the standard form
 of the representation (identity block on the basis columns), and every
@@ -70,63 +78,93 @@ def _indicator(field: Field, labels, subset) -> list:
     return [o if lab in subset else z for lab in labels]
 
 
+def fundamental_rows(matroid: Matroid, basis, field: Field) -> dict:
+    """Signed fundamental cocircuit rows of a basis: {b: {label: coeff}}.
+
+    Row b is the row of the standard form (identity block on the basis
+    columns) that carries the 1 of column b; only nonzero entries are kept.
+    Entries depend on the basis alone, not on an ordering, so the rows are
+    cached on the matroid per (field, basis).
+
+    Characteristic 2: row b is the indicator of the fundamental cocircuit
+    C*(B, b), read off the fundamental circuits through the exchange
+    identity  b in C(B, e)  <=>  e in C*(B, b)  (Oxley, Matroid Theory,
+    2011), so it costs r independence queries per cobasis element and no
+    representation.  This is sound: if A represents M over GF(2), row b of
+    its standard form on B is supported exactly on C*(B, b), and a GF(2)
+    row is its support, so these are the rows of every binary
+    representation.  A matroid with no binary representation (U(2,4), say)
+    gets the same indicator rows that a representation-free reading always
+    gave it; they represent no matroid, and lsop's facet-rank check decides
+    what they are worth.
+
+    Other fields: the rows are read off the standard form of
+    representation_over(field); an entry outside {0, +1, -1} raises
+    NotRegular.
+    """
+    bset = frozenset(basis)
+    key = ("fund_rows", field.name, bset)
+    rows = matroid._cache.get(key)
+    if rows is not None:
+        return rows
+    z, one = field.zero(), field.one()
+    if field.char == 2:
+        rows = {b: {b: one} for b in sorted(bset, key=matroid.position.get)}
+        for e in matroid.ground:
+            if e not in bset:
+                for b in matroid.fundamental_circuit(bset, e) - {e}:
+                    rows[b][e] = one
+    elif not bset:
+        rows = {}
+    else:
+        rep = matroid.representation_over(field)
+        labels = rep.col_labels
+        sf = rep.standard_form([j for j, lab in enumerate(labels) if lab in bset])
+        _guard_signs(sf, field, "fundamental cocircuit")
+        basis_cols = [lab for lab in labels if lab in bset]
+        rows = {
+            b: {lab: x for lab, x in zip(labels, row) if x != z}
+            for b, row in zip(basis_cols, sf.entries)
+        }
+    matroid._cache[key] = rows
+    return rows
+
+
 def fundamental_matrices(
     matroid: Matroid, ordering, field: Field, validate: bool = True
 ) -> FundamentalMatrices:
     """Signed fundamental circuit/cocircuit incidence for the ordering's basis.
 
-    Characteristic 2: indicator rows straight from the independence oracle,
-    valid for any matroid.  Otherwise a representation over the field is
-    required and the rows are read off its standard form.
+    The cocircuit rows come from fundamental_rows; the circuit row of a
+    cobasis element e has 1 at e and -A[b][e] at each basis element b,
+    which makes the two matrices orthogonal.  With validate, the supports
+    over a field of characteristic other than 2 (where the rows come from a
+    representation) are checked against the independence oracle.
     """
     labels, cobasis, basis = _split_ordering(matroid, ordering)
-    n, r = len(labels), len(basis)
-    bset = frozenset(basis)
     F = field
-    if F.char == 2:
-        circ_rows = [
-            _indicator(F, labels, matroid.fundamental_circuit(bset, e)) for e in cobasis
-        ]
-        coc_rows = [
-            _indicator(F, labels, matroid.fundamental_cocircuit(bset, b)) for b in basis
-        ]
-        cm = Matrix(F, circ_rows, col_labels=labels, row_labels=cobasis) \
-            if circ_rows else Matrix(F, [], col_labels=labels)
-        dm = Matrix(F, coc_rows, col_labels=labels, row_labels=basis) \
-            if coc_rows else Matrix(F, [], col_labels=labels)
-        return FundamentalMatrices(labels, tuple(basis), tuple(cobasis), cm, dm)
-
-    if r == 0:
-        # every element is a loop; each fundamental circuit is a singleton
-        dm = Matrix(F, [], col_labels=labels)
-        cm = Matrix(F, Matrix.identity(F, n).entries, col_labels=labels, row_labels=cobasis)
-        return FundamentalMatrices(labels, tuple(basis), tuple(cobasis), cm, dm)
-    rep = _permuted_representation(matroid, F, labels)
-    sf = rep.standard_form(range(n - r, n))
-    dm = Matrix(F, sf.entries, col_labels=labels, row_labels=basis)
     z, o = F.zero(), F.one()
-    circ_rows = []
-    for i in range(n - r):
-        row = [z] * n
-        row[i] = o
-        for j in range(r):
-            row[n - r + j] = F.neg(sf.entries[j][i])
-        circ_rows.append(row)
+    rows = fundamental_rows(matroid, basis, F)
+    coc_rows = [[rows[b].get(lab, z) for lab in labels] for b in basis]
+    circ_rows = [
+        [o if lab == e else F.neg(rows[lab].get(e, z)) if lab in rows else z for lab in labels]
+        for e in cobasis
+    ]
     cm = Matrix(F, circ_rows, col_labels=labels, row_labels=cobasis) \
         if circ_rows else Matrix(F, [], col_labels=labels)
-    if validate:
-        _guard_signs(cm, F, "fundamental circuit")
-        _guard_signs(dm, F, "fundamental cocircuit")
-        for i, e in enumerate(cobasis):
-            supp = frozenset(lab for lab, x in zip(labels, cm.entries[i]) if x != z)
-            want = matroid.fundamental_circuit(bset, e)
-            if supp != want:
-                raise AssertionError(f"circuit support mismatch at {e}: {supp} vs {want}")
-        for j, b in enumerate(basis):
-            supp = frozenset(lab for lab, x in zip(labels, dm.entries[j]) if x != z)
-            want = matroid.fundamental_cocircuit(bset, b)
-            if supp != want:
-                raise AssertionError(f"cocircuit support mismatch at {b}: {supp} vs {want}")
+    dm = Matrix(F, coc_rows, col_labels=labels, row_labels=basis) \
+        if coc_rows else Matrix(F, [], col_labels=labels)
+    if validate and F.char != 2:
+        bset = frozenset(basis)
+        for m, names, oracle in (
+            (cm, cobasis, matroid.fundamental_circuit),
+            (dm, basis, matroid.fundamental_cocircuit),
+        ):
+            for name, row in zip(names, m.entries):
+                supp = frozenset(lab for lab, x in zip(labels, row) if x != z)
+                want = oracle(bset, name)
+                if supp != want:
+                    raise AssertionError(f"support mismatch at {name}: {supp} vs {want}")
     return FundamentalMatrices(labels, tuple(basis), tuple(cobasis), cm, dm)
 
 

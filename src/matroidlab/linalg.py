@@ -92,16 +92,6 @@ class Matrix:
             col_labels=labels,
         )
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows or self.field != other.field:
-            raise BadSize("hstack shape/field mismatch")
-        return Matrix(self.field, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols or self.field != other.field:
-            raise BadSize("vstack shape/field mismatch")
-        return Matrix(self.field, self.entries + other.entries)
-
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows or self.field != other.field:
             raise BadSize("matmul shape/field mismatch")
@@ -116,13 +106,6 @@ class Matrix:
                 ]
             )
         return Matrix(self.field, out) if cols else Matrix.zero(F, self.nrows, other.ncols)
-
-    def scale_row_signs(self, signs) -> "Matrix":
-        F = self.field
-        rows = []
-        for s, r in zip(signs, self.entries):
-            rows.append(list(r) if s > 0 else [F.neg(x) for x in r])
-        return Matrix(F, rows, self.col_labels, self.row_labels)
 
     def is_zero(self) -> bool:
         z = self.field.zero()

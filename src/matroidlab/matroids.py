@@ -9,7 +9,6 @@ than a configurable cap, since everything here is desk scale by design.
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations
 
 from .errors import (
@@ -128,7 +127,6 @@ class Matroid:
         self.position = {e: i for i, e in enumerate(self.ground)}
         self._indep_memo: dict = {}
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     # -- oracle ------------------------------------------------------------
 
@@ -172,9 +170,8 @@ class Matroid:
             raise Overbudget(f"ground set of {len(self.ground)} exceeds cap {cap}")
 
     def circuits(self, cap: int | None = None) -> tuple:
-        with self._lock:
-            if "circuits" in self._cache:
-                return self._cache["circuits"]
+        if "circuits" in self._cache:
+            return self._cache["circuits"]
         self._guard(cap)
         if isinstance(self.backend, _CircuitBackend):
             found = list(self.backend.circuits)
@@ -188,21 +185,18 @@ class Matroid:
         else:
             found = self._minimal_scan(self.is_independent, self.rank() + 1)
         found = tuple(sorted(found, key=self._circuit_key))
-        with self._lock:
-            self._cache["circuits"] = found
+        self._cache["circuits"] = found
         return found
 
     def cocircuits(self, cap: int | None = None) -> tuple:
         """Circuits of the dual, enumerated through the corank oracle."""
-        with self._lock:
-            if "cocircuits" in self._cache:
-                return self._cache["cocircuits"]
+        if "cocircuits" in self._cache:
+            return self._cache["cocircuits"]
         self._guard(cap)
         corank_limit = len(self.ground) - self.rank() + 1
         found = self._minimal_scan(self.is_coindependent, corank_limit)
         found = tuple(sorted(found, key=self._circuit_key))
-        with self._lock:
-            self._cache["cocircuits"] = found
+        self._cache["cocircuits"] = found
         return found
 
     def _minimal_scan(self, indep, size_limit):
@@ -221,9 +215,8 @@ class Matroid:
         return tuple(sorted(self.position[e] for e in c))
 
     def bases(self, cap: int | None = None) -> tuple:
-        with self._lock:
-            if "bases" in self._cache:
-                return self._cache["bases"]
+        if "bases" in self._cache:
+            return self._cache["bases"]
         self._guard(cap)
         r = self.rank()
         out = tuple(
@@ -231,8 +224,7 @@ class Matroid:
             for b in combinations(self.ground, r)
             if self.is_independent(b)
         )
-        with self._lock:
-            self._cache["bases"] = out
+        self._cache["bases"] = out
         return out
 
     def loops(self) -> tuple:
@@ -385,12 +377,10 @@ class Matroid:
         NotRegular when no usable representation exists.
         """
         key = field.name
-        with self._lock:
-            if key in self._cache.setdefault("reps", {}):
-                return self._cache["reps"][key]
+        if key in self._cache.setdefault("reps", {}):
+            return self._cache["reps"][key]
         mat = self._build_representation(field)
-        with self._lock:
-            self._cache["reps"][key] = mat
+        self._cache["reps"][key] = mat
         return mat
 
     def _build_representation(self, field: Field) -> Matrix:
@@ -513,19 +503,42 @@ def from_circuits(circuits, labels) -> Matroid:
     return Matroid(ground, _CircuitBackend(circuits, ground))
 
 
-def matroid_from_json(data: dict) -> Matroid:
+def _json_list(data: dict, key: str, of_lists: bool = False) -> list:
+    value = data.get(key)
+    if not isinstance(value, list) or (of_lists and not all(isinstance(x, list) for x in value)):
+        raise BadParams(f"matroid JSON needs {key!r} as a list" + (" of lists" if of_lists else ""))
+    return value
+
+
+def matroid_from_json(data) -> Matroid:
+    """Build a matroid from its to_json form; malformed input raises BadParams."""
+    if not isinstance(data, dict):
+        raise BadParams("matroid JSON must be an object")
     kind = data.get("type")
-    labels = data.get("labels")
+    labels = _json_list(data, "labels")
     if kind == "column":
-        F = field_from_name(data["field"])
-        rows = [[F.parse(str(x)) for x in r] for r in data["matrix"]]
+        field = data.get("field")
+        F = field_from_name(field if isinstance(field, str) else "")
+        matrix = _json_list(data, "matrix", True)
+        try:
+            rows = [[F.parse(str(x)) for x in r] for r in matrix]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadParams(f"matrix entry is not a {F.name} element: {exc}") from None
         return from_matrix(Matrix(F, rows), labels)
     if kind == "graphic":
-        return from_graph([tuple(e) for e in data["edges"]], labels)
+        edges = _json_list(data, "edges", True)
+        if any(len(e) != 2 for e in edges):
+            raise BadParams("every edge must list two vertices")
+        return from_graph([tuple(e) for e in edges], labels)
     if kind == "uniform":
-        return uniform(int(data["rank"]), len(labels), labels)
+        try:
+            rank = int(data["rank"])
+        except (KeyError, TypeError, ValueError):
+            raise BadParams("uniform matroid JSON needs an integer 'rank'") from None
+        return uniform(rank, len(labels), labels)
     if kind == "circuits":
-        return from_circuits([frozenset(c) for c in data["circuits"]], labels)
+        circuits = _json_list(data, "circuits", True)
+        return from_circuits([frozenset(map(str, c)) for c in circuits], labels)
     raise BadParams(f"unknown matroid type {kind!r}")
 
 

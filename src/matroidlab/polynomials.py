@@ -2,9 +2,21 @@
 
 Variables are 1-based indices displayed as x1, x2, ...  Monomials are
 sparse (no zero exponents stored).  Two independent decision paths are
-kept deliberately separate: Buchberger normal forms, and degree-by-degree
-dense (Macaulay) linear algebra; agreement between them is a tested
-invariant, never an assumption.
+kept deliberately separate; agreement between them is a tested invariant,
+never an assumption:
+
+- Macaulay: dense linear algebra one degree at a time.  A slice holds the
+  rows of J_d in one RowSpace, built once, and answers dimension,
+  independence and spanning for degree d.  quotient_dimension_macaulay
+  reads the slice dimensions, monomials_independent_in_quotient adds the
+  monomials to the slices of their degrees, and monomial_set_is_basis
+  with method 'macaulay' does both and then asks the slices for a
+  spanning witness.
+- Groebner: Buchberger (groebner_basis), then normal forms.  normal_form_span
+  reduces monomials modulo a Groebner basis that its caller computes once,
+  and ranks the normal forms; monomial_set_is_basis with method
+  'groebner' and nbc_check's Groebner path both use it.
+  quotient_dimension and standard_monomials read the staircase.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import BadParams, NotArtinian
 from .fields import Field
-from .linalg import Matrix, RowSpace
+from .linalg import RowSpace
 
 MACAULAY_DEGREE_CAP = 64
 
@@ -485,17 +497,8 @@ def standard_monomials(gb, nvars: int, order: str = "grlex") -> tuple:
 
 def quotient_dimension(ideal: Ideal, order: str = "grlex") -> tuple:
     """(total dimension, by-degree tuple) via the Groebner staircase."""
-    if ideal.nvars == 0:
-        one_in = any(not g.is_zero() for g in ideal.generators)
-        return (0, ()) if one_in else (1, (1,))
-    gb = groebner_basis(ideal, order)
-    if not gb:
-        raise NotArtinian("zero ideal has an infinite quotient", 1)
-    std = standard_monomials(gb, ideal.nvars, order)
-    if not std:
-        return (0, ())
-    dmax = max(m.degree() for m in std)
-    by_deg = [0] * (dmax + 1)
+    std = standard_monomials(groebner_basis(ideal, order), ideal.nvars, order)
+    by_deg = [0] * (max((m.degree() for m in std), default=-1) + 1)
     for m in std:
         by_deg[m.degree()] += 1
     return (len(std), tuple(by_deg))
@@ -514,55 +517,135 @@ def monomials_of_degree(nvars: int, d: int, order: str = "grlex") -> tuple:
     return tuple(out)
 
 
-def _macaulay_rows(ideal: Ideal, d: int, cols: dict):
-    F = ideal.field
-    z = F.zero()
-    rows = []
+class _MacaulaySlice:
+    """Degree d of k[x]/J by dense linear algebra: the rows of J_d, built once.
+
+    The columns are the degree-d monomials (descending grlex) and the rows
+    of J_d sit in one RowSpace, so dim is the quotient dimension in degree
+    d.  add() puts the unit row of a degree-d monomial into the same space
+    and says whether the rank grew: after the monomials of S_d are added
+    in order, the first that does not grow it is S_d's first dependent
+    monomial.  escape() then names the first column monomial outside
+    span(J_d + S_d), the witness that S_d does not span.
+    """
+
+    __slots__ = ("index", "space", "dim")
+
+    def __init__(self, ideal: Ideal, d: int):
+        F = ideal.field
+        cols = monomials_of_degree(ideal.nvars, d)
+        self.index = {m: i for i, m in enumerate(cols)}
+        self.space = RowSpace(F, len(cols))
+        for g in ideal.generators:
+            if g.total_degree() > d:
+                continue
+            for shift in monomials_of_degree(ideal.nvars, d - g.total_degree()):
+                row = [F.zero()] * len(cols)
+                for m, c in g.term_mul(shift).terms.items():
+                    row[self.index[m]] = c
+                self.space.add(row)
+        self.dim = len(cols) - self.space.rank
+
+    def add(self, m: Monomial) -> bool:
+        F = self.space.field
+        row = [F.zero()] * self.space.ncols
+        row[self.index[m]] = F.one()
+        return self.space.add(row)
+
+    def escape(self) -> Monomial | None:
+        # a probe that does not grow the rank leaves the space as it was
+        return next((m for m in self.index if self.add(m)), None)
+
+
+def _macaulay_slices(ideal: Ideal, cap: int | None = None) -> dict:
+    """{d: slice} for d = 0, 1, ... while the quotient is nonzero in degree d.
+
+    Requires homogeneous generators, for which the quotient vanishes in
+    every degree above the first degree where it vanishes.  If it has not
+    vanished by `cap` (default: sum of generator degrees, a
+    complete-intersection-style regularity bound) the quotient is declared
+    non-Artinian.
+    """
     for g in ideal.generators:
-        dg = g.total_degree()
-        if dg > d or g.is_zero():
-            continue
-        for shift in monomials_of_degree(ideal.nvars, d - dg):
-            p = g.term_mul(shift)
-            row = [z] * len(cols)
-            for m, c in p.terms.items():
-                row[cols[m]] = c
-            rows.append(row)
-    return rows
+        if not g.is_homogeneous():
+            raise BadParams("macaulay path requires homogeneous generators")
+    if cap is None:
+        cap = sum(g.total_degree() for g in ideal.generators) or 1
+    cap = min(cap, MACAULAY_DEGREE_CAP)
+    slices: dict = {}
+    while True:
+        sl = _MacaulaySlice(ideal, len(slices))
+        if sl.dim == 0:
+            return slices
+        slices[len(slices)] = sl
+        if len(slices) > cap:
+            raise NotArtinian(f"quotient still growing at degree {cap}", None)
+
+
+def _first_dependent(ideal: Ideal, mons, slices: dict) -> Monomial | None:
+    """First monomial, in grlex order, in the span of J and the ones before it.
+
+    A homogeneous ideal grades the quotient, so only monomials of one
+    degree can depend on each other and each degree is settled in its own
+    slice; slices missing from `slices` are built and added to it.
+    """
+    for m in sorted(mons, key=order_key("grlex", ideal.nvars)):
+        d = m.degree()
+        if d not in slices:
+            slices[d] = _MacaulaySlice(ideal, d)
+        if not slices[d].add(m):
+            return m
+    return None
 
 
 def quotient_dimension_macaulay(ideal: Ideal, cap: int | None = None) -> tuple:
     """(total, by-degree) by dense rank per degree; no Groebner machinery.
 
-    Requires homogeneous generators.  Scans degrees until the quotient
-    vanishes; if it has not vanished by `cap` (default: sum of generator
-    degrees, a complete-intersection-style regularity bound) the quotient
-    is declared non-Artinian.
+    Requires homogeneous generators; raises NotArtinian if the quotient is
+    still nonzero in degree `cap` (see _macaulay_slices).
     """
-    for g in ideal.generators:
-        if not g.is_homogeneous():
-            raise BadParams("macaulay path requires homogeneous generators")
-    if ideal.nvars == 0:
-        one_in = any(not g.is_zero() for g in ideal.generators)
-        return (0, ()) if one_in else (1, (1,))
-    if cap is None:
-        cap = sum(g.total_degree() for g in ideal.generators) or 1
-    cap = min(cap, MACAULAY_DEGREE_CAP)
-    by_deg = []
-    d = 0
-    while True:
-        mons = monomials_of_degree(ideal.nvars, d)
-        cols = {m: i for i, m in enumerate(mons)}
-        rows = _macaulay_rows(ideal, d, cols)
-        rk = Matrix(ideal.field, rows).rank() if rows else 0
-        dim_d = len(mons) - rk
-        if dim_d == 0:
-            break
-        by_deg.append(dim_d)
-        d += 1
-        if d > cap:
-            raise NotArtinian(f"quotient still growing at degree {cap}", None)
-    return (sum(by_deg), tuple(by_deg))
+    by_deg = tuple(sl.dim for sl in _macaulay_slices(ideal, cap).values())
+    return (sum(by_deg), by_deg)
+
+
+def monomials_independent_in_quotient(ideal: Ideal, mons) -> tuple:
+    """(all independent?, first dependent monomial) by per-degree Macaulay rank.
+
+    Unlike monomial_set_is_basis this never computes the quotient dimension,
+    so it stays cheap inside search loops.  Homogeneous generators required.
+    """
+    wit = _first_dependent(ideal, mons, {})
+    return (wit is None, wit)
+
+
+def normal_form_span(ideal: Ideal, gb, mons, order: str = "grlex") -> tuple:
+    """The normal forms of `mons` modulo the Groebner basis gb, as rows.
+
+    Returns (first monomial, in the term order, whose normal form lies in
+    the span of the earlier ones, or None; the RowSpace of the rows; the
+    column index, one column per monomial occurring in a normal form).
+    gb must be a Groebner basis of `ideal` for `order`: the callers compute
+    it once and pass it in.
+    """
+    key = order_key(order, ideal.nvars)
+    F = ideal.field
+    z = F.zero()
+    forms = [
+        (m, normal_form(Polynomial.from_monomial(F, ideal.nvars, m), gb, key))
+        for m in sorted(mons, key=key)
+    ]
+    cols: dict = {}
+    for _, nf in forms:
+        for mm in nf.terms:
+            cols.setdefault(mm, len(cols))
+    space = RowSpace(F, len(cols))
+    for m, nf in forms:
+        row = [z] * len(cols)
+        for mm, c in nf.terms.items():
+            row[cols[mm]] = c
+        if not space.add(row):
+            return m, space, cols
+    return None, space, cols
 
 
 # -- monomial basis decision ---------------------------------------------------
@@ -602,108 +685,42 @@ def monomial_set_is_basis(
 
 
 def _basis_via_groebner(ideal: Ideal, mons, order: str) -> BasisVerdict:
-    key = order_key(order, ideal.nvars)
-    total, _ = quotient_dimension(ideal, order)
-    if len(mons) > total:
-        return BasisVerdict("wrong_cardinality", None)
     gb = groebner_basis(ideal, order)
     std = standard_monomials(gb, ideal.nvars, order)
-    cols = {m: i for i, m in enumerate(std)}
-    F = ideal.field
-    z = F.zero()
-    seen: list = []
-    for m in sorted(mons, key=key):
-        nf = normal_form(Polynomial.from_monomial(F, ideal.nvars, m), gb, key)
-        row = [z] * len(cols)
-        for mm, c in nf.terms.items():
-            row[cols[mm]] = c
-        stack = seen + [row]
-        if Matrix(F, stack).rank() < len(stack):
-            return BasisVerdict("not_independent", m)
-        seen.append(row)
-    if len(mons) < total:
+    if len(mons) > len(std):
+        return BasisVerdict("wrong_cardinality", None)
+    wit, space, cols = normal_form_span(ideal, gb, mons, order)
+    if wit is not None:
+        return BasisVerdict("not_independent", wit)
+    if len(mons) < len(std):
         # independent but too few: some standard monomial escapes the span
-        rk = Matrix(F, seen).rank() if seen else 0
-        for i, m in enumerate(std):
-            unit = [z] * len(cols)
-            unit[i] = F.one()
-            if Matrix(F, seen + [unit]).rank() > rk:
+        F = ideal.field
+        for m in std:
+            if m not in cols:
+                return BasisVerdict("not_spanning", m)
+            unit = [F.zero()] * len(cols)
+            unit[cols[m]] = F.one()
+            if space.add(unit):
                 return BasisVerdict("not_spanning", m)
         raise AssertionError("independent set smaller than dimension must miss something")
     return BasisVerdict("basis", None)
 
 
 def _basis_via_macaulay(ideal: Ideal, mons) -> BasisVerdict:
-    F = ideal.field
-    z = F.zero()
-    total, by_deg = quotient_dimension_macaulay(ideal)
+    slices = _macaulay_slices(ideal)
+    total = sum(sl.dim for sl in slices.values())
     if len(mons) > total:
         return BasisVerdict("wrong_cardinality", None)
-    key = order_key("grlex", ideal.nvars)
-    by_degree: dict = {}
-    for m in mons:
-        by_degree.setdefault(m.degree(), []).append(m)
-    degrees = sorted(set(by_degree) | set(range(len(by_deg))))
-    witness_dep = None
-    witness_span = None
-    for d in degrees:
-        s_d = sorted(by_degree.get(d, []), key=key)
-        cols_list = monomials_of_degree(ideal.nvars, d)
-        cols = {m: i for i, m in enumerate(cols_list)}
-        jrows = _macaulay_rows(ideal, d, cols)
-        jrank = Matrix(F, jrows).rank() if jrows else 0
-        rows = list(jrows)
-        base = jrank
-        for m in s_d:
-            row = [z] * len(cols)
-            row[cols[m]] = F.one()
-            rows.append(row)
-            rk = Matrix(F, rows).rank()
-            if rk == base and witness_dep is None:
-                witness_dep = m
-            base = rk
-        rk = base
-        dim_d = by_deg[d] if d < len(by_deg) else 0
-        if jrank + dim_d > rk and witness_span is None:
-            # some degree-d quotient vector lies outside span(J_d + S_d)
-            for m in cols_list:
-                row = [z] * len(cols)
-                row[cols[m]] = F.one()
-                if Matrix(F, rows + [row]).rank() > rk:
-                    witness_span = m
-                    break
-    if witness_dep is not None:
-        return BasisVerdict("not_independent", witness_dep)
-    if witness_span is not None:
-        return BasisVerdict("not_spanning", witness_span)
+    wit = _first_dependent(ideal, mons, slices)
+    if wit is not None:
+        return BasisVerdict("not_independent", wit)
+    if len(mons) < total:
+        # independent but too few: the lowest short degree has an escape
+        for sl in slices.values():
+            wit = sl.escape()
+            if wit is not None:
+                return BasisVerdict("not_spanning", wit)
     return BasisVerdict("basis", None)
-
-
-def monomials_independent_in_quotient(ideal: Ideal, mons) -> tuple:
-    """(all independent?, first dependent monomial) by per-degree Macaulay rank.
-
-    Unlike monomial_set_is_basis this never computes the quotient dimension,
-    so it stays cheap inside search loops.  Homogeneous generators required.
-    """
-    F = ideal.field
-    z = F.zero()
-    key = order_key("grlex", ideal.nvars)
-    by_degree: dict = {}
-    for m in mons:
-        by_degree.setdefault(m.degree(), []).append(m)
-    for d in sorted(by_degree):
-        s_d = sorted(by_degree[d], key=key)
-        cols_list = monomials_of_degree(ideal.nvars, d)
-        cols = {m: i for i, m in enumerate(cols_list)}
-        space = RowSpace(F, len(cols))
-        for row in _macaulay_rows(ideal, d, cols):
-            space.add(row)
-        for m in s_d:
-            row = [z] * len(cols)
-            row[cols[m]] = F.one()
-            if not space.add(row):
-                return (False, m)
-    return (True, None)
 
 
 # -- order ideals ---------------------------------------------------------------

@@ -250,3 +250,33 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "r10" in json.loads(proc.stdout)
+
+
+U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
+
+
+@pytest.mark.parametrize("argv,data,env", (
+    (["info"], {"type": "uniform", "labels": ["a", "b", "c"]}, {}),
+    (["info"], {"type": "uniform", "rank": 1}, {}),
+    (["info"], {"type": "graphic", "labels": ["a"], "edges": [["u"]]}, {}),
+    (["info"], {"type": "column", "labels": ["a"], "field": "q", "matrix": [["z"]]}, {}),
+    (["info"], {"type": "column", "labels": ["a"], "field": "gfx", "matrix": [[1]]}, {}),
+    (["info"], {"type": "circuits", "labels": ["a"], "circuits": [[["a"]]]}, {}),
+    (["info"], {"matroid": "not an object"}, {}),
+    (["nbc", "check"], {"matroid": U23, "ordering": "cab"}, {}),
+    (["nbc", "search", "--shard", "x/2"], U23, {}),
+    (["nbc", "search", "--policy", "sample:a:b"], U23, {}),
+    (["nbc", "search", "--checkpoint-every", "0"], U23, {}),
+    (["nbc", "search"], U23, {"MATROIDLAB_WORKERS": "x"}),
+), ids=(
+    "uniform-without-rank", "no-labels", "one-vertex-edge", "bad-entry", "bad-field",
+    "nested-circuit", "matroid-not-object", "string-ordering", "bad-shard", "bad-sample",
+    "checkpoint-every-0", "bad-workers-env",
+))
+def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(argv, capsys, monkeypatch, stdin_text=json.dumps(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("matroidlab: ") and "Traceback" not in err

@@ -21,8 +21,10 @@ from matroidlab.errors import (
     NoCocircuitPair,
     NotStandardOrdering,
 )
+from matroidlab.families import named_matroid, theta_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD
 from matroidlab.incidence import fundamental_matrices
+from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, uniform
 from matroidlab.polynomials import Monomial
 
@@ -210,11 +212,45 @@ def test_search_shards_merge_to_full_run():
     assert merged == whole.tallies
 
 
-@pytest.mark.parametrize("shard", ("5", "1/2/3", "3/3", "-1/3", "0/0"))
+@pytest.mark.parametrize("shard", ("5", "1/2/3", "3/3", "-1/3", "0/0", "x/2"))
 def test_search_shard_validation(shard):
     m = uniform(2, 3)
-    with pytest.raises((BadParams, ValueError)):
+    with pytest.raises(BadParams):
         search_orderings(m, Q_FIELD, shard=shard)
+
+
+@pytest.mark.parametrize("name,field,policy,shard", (
+    ("k4", GF2_FIELD, "first-hit", None),
+    ("k4", GF2_FIELD, "first-hit", "1/3"),
+    ("k4", GF2_FIELD, "sample:120:5", None),
+    ("k4", GF2_FIELD, "sample:120:5", "0/2"),
+    ("k4", GF2_FIELD, "exhaustive", "2/5"),
+    ("dualk33", Q_FIELD, "first-hit", None),
+    ("dualk33", Q_FIELD, "sample:120:5", "1/2"),
+))
+def test_search_reports_do_not_depend_on_workers(name, field, policy, shard):
+    # small chunks put a first hit in the middle of a chunk: the cursor must
+    # stop at the hit, not at the end of the chunk that holds it
+    m = named_matroid(name)
+    reports = [
+        search_orderings(m, field, policy=policy, workers=w, shard=shard, chunk_size=50)
+        for w in (1, 2)
+    ]
+    assert reports[0] == reports[1]
+    rep = reports[0]
+    assert sum(rep.tallies.values()) == rep.checked
+
+
+def test_gf2_check_needs_no_tu_test(monkeypatch):
+    # over gf2 the linear system of a rational column matroid is read off
+    # the independence oracle, so the brute-force TU test is never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_totally_unimodular called")
+
+    monkeypatch.setattr(Matrix, "is_totally_unimodular", refuse)
+    m, std = theta_matroid((3, 4))
+    rep = nbc_check(m, std, GF2_FIELD, method="both")
+    assert rep.is_basis
 
 
 def test_checkpoint_roundtrip(tmp_path):

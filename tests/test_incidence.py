@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from matroidlab.errors import BadParams, NotRegular, NotStandardOrdering
+from matroidlab.families import named_matroid, phi_matroid, theta_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD
 from matroidlab.incidence import (
     basis_is_nonsingular,
@@ -11,6 +12,7 @@ from matroidlab.incidence import (
     full_circuit_matrix,
     full_cocircuit_matrix,
     fundamental_matrices,
+    fundamental_rows,
 )
 from matroidlab.matroids import from_graph, uniform
 
@@ -124,3 +126,40 @@ def test_non_regular_refuses_signed_construction():
     # the char-2 indicator path needs no representation
     fm = fundamental_matrices(m, ("e1", "e2", "e3", "e4"), GF2_FIELD)
     assert fm.circuit_matrix.nrows == 2
+
+
+GLUED_SIZES = ((2, 3), (3, 3), (2, 2, 2))
+GF2_INSTANCES = ("r10", "dualk33", "dualk33raw", "k33", "k4") + tuple(
+    f"{family}{sizes}" for family in ("theta", "phi") for sizes in GLUED_SIZES
+)
+
+
+def _instance(name):
+    for family, build in (("theta", theta_matroid), ("phi", phi_matroid)):
+        if name.startswith(family):
+            return build(tuple(int(x) for x in name[len(family) + 1:-1].split(",")))[0]
+    return named_matroid(name)
+
+
+@pytest.mark.parametrize("name", GF2_INSTANCES)
+def test_gf2_rows_equal_representation_standard_form(name):
+    # the rows read off the oracle must be exactly the standard-form rows
+    # of a binary representation, for every basis
+    m = _instance(name)
+    rep = m.representation_over(GF2_FIELD)
+    labels = rep.col_labels
+    for basis in m.bases():
+        cols = [j for j, lab in enumerate(labels) if lab in basis]
+        want = {
+            labels[c]: {lab: 1 for lab, x in zip(labels, row) if x}
+            for c, row in zip(cols, rep.standard_form(cols).entries)
+        }
+        assert fundamental_rows(m, basis, GF2_FIELD) == want, sorted(basis)
+
+
+def test_fundamental_rows_cached_per_field_and_basis():
+    m = from_graph(TRIANGLE + (("c", "d"),))
+    basis = frozenset({"e1", "e2", "e4"})
+    rows = fundamental_rows(m, basis, Q_FIELD)
+    assert fundamental_rows(m, ("e4", "e2", "e1"), Q_FIELD) is rows
+    assert fundamental_rows(m, basis, GF2_FIELD) is not rows

@@ -15,6 +15,7 @@ from matroidlab.polynomials import (
     monomials_independent_in_quotient,
     monomials_of_degree,
     normal_form,
+    normal_form_span,
     order_key,
     quotient_dimension,
     quotient_dimension_macaulay,
@@ -245,3 +246,66 @@ def test_groebner_matches_independent_library():
             for e in theirs.exprs
         }
         assert {_to_sympy(p, xs, sympy) for p in ours} == monic, order
+
+
+def test_groebner_method_computes_the_basis_once(monkeypatch):
+    import matroidlab.polynomials as poly
+
+    calls = []
+
+    def counted(ideal, order="grlex"):
+        calls.append(order)
+        return groebner_basis(ideal, order)
+
+    monkeypatch.setattr(poly, "groebner_basis", counted)
+    F = Q_FIELD
+    ideal = Ideal.make(F, 2, [_poly(F, 2, "x1^2"), _poly(F, 2, "x2^2")])
+    short = monomial_set_is_basis(ideal, [Monomial.one(), X, Y], method="groebner")
+    assert short.kind == "not_spanning" and short.witness == XY
+    assert calls == ["grlex"]
+
+
+def _random_homogeneous_ideal(rng, field, nvars):
+    gens = [
+        Polynomial.from_monomial(field, nvars, Monomial.variable(v, rng.randint(1, 3)))
+        for v in range(1, nvars + 1)
+    ]
+    for _ in range(rng.randint(0, 3)):
+        d = rng.randint(1, 3)
+        terms = {m: field.from_int(rng.randint(-2, 2)) for m in monomials_of_degree(nvars, d)}
+        gens.append(Polynomial(field, nvars, terms))
+    return Ideal.make(field, nvars, gens)
+
+
+@pytest.mark.parametrize("field", (GF2_FIELD, GFp(3), Q_FIELD), ids=lambda F: F.name)
+def test_macaulay_and_groebner_paths_agree(field):
+    rng = random.Random(f"paths:{field.name}")
+    kinds = set()
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        ideal = _random_homogeneous_ideal(rng, field, nvars)
+        gb = groebner_basis(ideal)
+        std = list(standard_monomials(gb, nvars))
+        pick = rng.random()
+        if pick < 0.3:
+            cand = std
+        elif pick < 0.5:
+            cand = rng.sample(std, len(std) - 1) or [Monomial.one()]
+        else:
+            pool = [m for d in range(4) for m in monomials_of_degree(nvars, d)]
+            cand = rng.sample(pool, rng.randint(1, min(len(pool), len(std) + 1)))
+        mac = monomial_set_is_basis(ideal, cand, method="macaulay")
+        gro = monomial_set_is_basis(ideal, cand, method="groebner")
+        assert mac.kind == gro.kind
+        if mac.kind == "not_independent":
+            assert mac.witness == gro.witness
+        assert quotient_dimension_macaulay(ideal) == quotient_dimension(ideal)
+        # the search-loop entry points give the same first dependent monomial
+        ok, wit = monomials_independent_in_quotient(ideal, cand)
+        assert normal_form_span(ideal, gb, cand)[0] == wit
+        if mac.kind == "not_independent":
+            assert wit == mac.witness
+        elif mac.kind != "wrong_cardinality":
+            assert ok and wit is None
+        kinds.add(mac.kind)
+    assert kinds == {"basis", "not_independent", "not_spanning", "wrong_cardinality"}
