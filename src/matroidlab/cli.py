@@ -381,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--exhaustive-r10", action="store_true",
-        help="also run the full 2,332,800-ordering scan (hours of CPU)",
+        help="also run the full 2,332,800-ordering scan (about 35 CPU-minutes)",
     )
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",

@@ -21,9 +21,11 @@ import json
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from math import factorial
+from operator import le
 from typing import NamedTuple
 
 from .complexes import HVector, Ordering, bc_facets, f_h_vectors
@@ -36,8 +38,7 @@ from .linalg import Matrix
 from .matroids import Matroid, matroid_from_json
 from .polynomials import (
     Ideal, Monomial, OrderIdealSet, Polynomial, groebner_basis,
-    minimal_generators, monomials_independent_in_quotient, normal_form_span,
-    order_key,
+    monomials_independent_in_quotient, normal_form_span, order_key,
 )
 
 DEFAULT_CHECKPOINT_EVERY = 5000
@@ -268,38 +269,72 @@ def order_ideals(matroid: Matroid, std: StandardOrdering) -> tuple:
     and its finite complement, the candidate basis, in t = n - rank
     variables.  Raises InfiniteLowerIdeal if some variable never acquires
     a pure-power generator (impossible for the standard construction,
-    kept as a defensive guard)."""
+    kept as a defensive guard).
+
+    Runs on dense exponent tuples.  The candidates are minimised in order
+    of degree: a proper divisor has a smaller degree, so it is kept before
+    the tuples it divides.  The walk sets x1, x2, ..., xt in turn and skips
+    work in two ways, neither of which loses a member:
+    - a generator g is tested only when its last variable v (the largest
+      with a positive exponent) is set.  Whether g divides a monomial
+      depends only on its exponents of x1..xv, which are all fixed at that
+      point and never change below it, so one test at v decides g for every
+      completion of the prefix;
+    - with x1..x(v-1) fixed, a generator indexed at v divides the prefix
+      times xv^a exactly when its other exponents divide the prefix and a
+      reaches its exponent of xv.  So the divisible a form an up-set, and
+      the loop at v ends at the first of them.  The pure power of xv is
+      indexed at v, so the loop never runs past it.
+    """
     t = len(std.labels) - std.rank
-    mc = candidate_monomials(matroid, std)
-    gens = minimal_generators(m for _, m in mc)
-    upper = OrderIdealSet("upper", gens)
-    if Monomial.one() in gens:
+    cands = set()
+    for _, m in candidate_monomials(matroid, std):
+        dense = [0] * t
+        for v, a in m.exps:
+            dense[v - 1] = a
+        cands.add(tuple(dense))
+    gens: list = []
+    for c in sorted(cands, key=sum):
+        if not any(all(map(le, g, c)) for g in gens):
+            gens.append(c)
+    trusted = Monomial._trusted
+    upper = OrderIdealSet(
+        "upper",
+        (trusted(tuple((i + 1, a) for i, a in enumerate(g) if a), sum(g)) for g in gens),
+    )
+    if gens and not any(gens[0]):  # 1 is a candidate: nothing lies below it
         return upper, OrderIdealSet("lower", ())
-    bounds = [None] * (t + 1)
-    for m in gens:
-        vs = m.variables()
-        if len(vs) == 1:
-            v = vs[0]
-            a = m.exponent(v)
-            if bounds[v] is None or a < bounds[v]:
-                bounds[v] = a
+    # at[v]: (exponent of xv, other (index, exponent) pairs) per generator ending at xv
+    at: list = [[] for _ in range(t + 1)]
+    for g in gens:
+        support = [i for i, a in enumerate(g) if a]
+        last = support[-1]
+        at[last + 1].append((g[last], tuple((i, g[i]) for i in support[:-1])))
     for v in range(1, t + 1):
-        if bounds[v] is None:
+        if all(rest for _, rest in at[v]):
             raise InfiniteLowerIdeal(f"no pure power of x{v} among the generators", v)
-    glist = tuple(gens)
+    exps = [0] * t
     out = []
 
-    def rec(v: int, m: Monomial):
-        if any(g.divides(m) for g in glist):
-            return
-        if v > t:
-            out.append(m)
-            return
-        for a in range(bounds[v]):
-            rec(v + 1, m.mul(Monomial.variable(v, a)) if a else m)
+    def limit(v: int) -> int:
+        return min(a for a, rest in at[v] if all(exps[i] >= b for i, b in rest))
 
-    rec(1, Monomial.one())
-    out.sort(key=order_key("grlex", t))
+    def rec(v: int, prefix: tuple, degree: int):
+        stop = limit(v)
+        if v == t:
+            out.append(trusted(prefix, degree))
+            out.extend(trusted(prefix + ((v, a),), degree + a) for a in range(1, stop))
+            return
+        rec(v + 1, prefix, degree)
+        for a in range(1, stop):
+            exps[v - 1] = a
+            rec(v + 1, prefix + ((v, a),), degree + a)
+        exps[v - 1] = 0
+
+    if t:
+        rec(1, (), 0)
+    else:
+        out.append(Monomial.one())
     return upper, OrderIdealSet("lower", out)
 
 
@@ -357,12 +392,8 @@ def nbc_check(
         raise BadParams(f"unknown method {method!r}")
     h = _h_vector(matroid, std)
     _, lower = order_ideals(matroid, std)
-    key = order_key("grlex", len(std.labels) - std.rank)
-    L = sorted(lower.monomials, key=key)
-    shown = tuple(m.show() for m in L) if include_monomials else ()
-    by_deg: dict = {}
-    for m in L:
-        by_deg[m.degree()] = by_deg.get(m.degree(), 0) + 1
+    # count first: a wrong_cardinality verdict needs no grlex order
+    by_deg = Counter(map(Monomial.degree, lower.monomials))
     dmax = max(len(h.entries) - 1, max(by_deg, default=0))
     mismatch = next(
         (
@@ -372,13 +403,17 @@ def nbc_check(
         ),
         None,
     )
+    L = ()
+    if mismatch is None or include_monomials:
+        L = sorted(lower.monomials, key=order_key("grlex", len(std.labels) - std.rank))
+    shown = tuple(m.show() for m in L) if include_monomials else ()
 
     def report(quotient_dim, cardinality_ok, lsop_valid, independent, verdict, reason, witness):
         return NbcReport(
             ordering=std.labels,
             field=field.name,
             h=h,
-            l_size=len(L),
+            l_size=len(lower),
             quotient_dim=quotient_dim,
             cardinality_ok=cardinality_ok,
             lsop_valid=lsop_valid,
@@ -568,11 +603,20 @@ def _check_one(matroid: Matroid, k: int, field: Field) -> tuple:
     return (k, rep.verdict, rep.reason)
 
 
-def _search_chunk(payload: tuple) -> list:
-    data, field_name, indices = payload
-    matroid = matroid_from_json(data)
-    F = field_from_name(field_name)
-    return [_check_one(matroid, k, F) for k in indices]
+# the matroid and field of a pool worker process, set once by _init_worker
+_WORKER: tuple | None = None
+
+
+def _init_worker(data: dict, field_name: str) -> None:
+    """Pool initializer: build the matroid and field once per worker process,
+    so its circuits, bases and h-vector are computed once, not per chunk."""
+    global _WORKER
+    _WORKER = (matroid_from_json(data), field_from_name(field_name))
+
+
+def _search_chunk(indices: list) -> list:
+    matroid, field = _WORKER
+    return [_check_one(matroid, k, field) for k in indices]
 
 
 def _matroid_digest(matroid: Matroid) -> str:
@@ -580,16 +624,45 @@ def _matroid_digest(matroid: Matroid) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _load_checkpoint(path: str, digest: str, policy: str, field: Field, shard: str) -> dict | None:
+def _load_checkpoint(
+    path: str, digest: str, policy: str, field: Field, shard: str, domain: int, verdicts,
+) -> dict | None:
+    """The saved state, or None when there is none yet.  Raises BadParams,
+    naming the file, when it is not a JSON object of the saved shape, was
+    written for another run, or does not agree with itself."""
     if not path or not os.path.exists(path):
         return None
-    with open(path) as fh:
-        state = json.load(fh)
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadParams(f"checkpoint {path} is not readable JSON: {exc}") from None
+    if not isinstance(state, dict):
+        raise BadParams(f"checkpoint {path} is not a JSON object")
     for key, want in (
         ("matroid", digest), ("policy", policy), ("field", field.name), ("shard", shard),
     ):
         if state.get(key) != want:
             raise BadParams(f"checkpoint {path} was written for a different {key}")
+    for key, kind in (
+        ("cursor", int), ("tallies", dict), ("basis_indices", list),
+        ("first_basis", (dict, type(None))),
+    ):
+        if key not in state or not isinstance(state[key], kind) or isinstance(state[key], bool):
+            raise BadParams(f"checkpoint {path} has no {key!r} of the saved type")
+    cursor, tallies = state["cursor"], state["tallies"]
+    if not 0 <= cursor <= domain:
+        raise BadParams(f"checkpoint {path} has cursor {cursor} outside [0, {domain}]")
+    if not set(tallies) <= set(verdicts) or not all(
+        type(n) is int and n >= 0 for n in tallies.values()
+    ):
+        raise BadParams(f"checkpoint {path} has malformed tallies")
+    if not all(type(k) is int and k >= 0 for k in state["basis_indices"]):
+        raise BadParams(f"checkpoint {path} has malformed basis indices")
+    if sum(tallies.values()) != cursor:
+        raise BadParams(
+            f"checkpoint {path} has tallies summing to {sum(tallies.values())}, cursor {cursor}"
+        )
     return state
 
 
@@ -647,7 +720,9 @@ def search_orderings(
     index list, for splitting work across machines.  Results are merged in
     index order, so tallies do not depend on the worker count.  Checkpoints
     store the cursor into the (sharded) index list and are only accepted
-    back for the same matroid, policy, field and shard.
+    back for the same matroid, policy, field and shard, with a cursor inside
+    the index list and tallies that sum to it.  With more than one worker,
+    each worker process builds the matroid once, in the pool initializer.
     """
     total = count_standard_orderings(matroid)
     indices = _policy_indices(policy, total)
@@ -673,7 +748,7 @@ def search_orderings(
     first_basis = None
     cursor = 0
     state = (
-        _load_checkpoint(checkpoint_path, digest, policy, field, shard_text)
+        _load_checkpoint(checkpoint_path, digest, policy, field, shard_text, domain, tallies)
         if checkpoint_path
         else None
     )
@@ -718,16 +793,16 @@ def search_orderings(
             for i in range(start, domain):
                 yield _check_one(matroid, indices[i], field)
             return
-        data = matroid.to_json()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            initargs=(matroid.to_json(), field.name),
+        ) as pool:
             while start < domain:
                 window = []
                 while start < domain and len(window) < workers * 4:
                     window.append([indices[i] for i in range(start, min(start + chunk_size, domain))])
                     start += len(window[-1])
-                futures = [
-                    pool.submit(_search_chunk, (data, field.name, chunk)) for chunk in window
-                ]
+                futures = [pool.submit(_search_chunk, chunk) for chunk in window]
                 for fut in futures:
                     yield from fut.result()
 

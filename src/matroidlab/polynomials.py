@@ -33,9 +33,10 @@ MACAULAY_DEGREE_CAP = 64
 
 
 class Monomial:
-    """Sparse monomial: sorted tuple of (variable, exponent), exponents > 0."""
+    """Sparse monomial: sorted tuple of (variable, exponent), exponents > 0,
+    with its total degree computed once."""
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "_degree")
 
     def __init__(self, exps=()):
         if isinstance(exps, dict):
@@ -46,6 +47,17 @@ class Monomial:
         if any(v < 1 or a < 0 for v, a in clean):
             raise BadParams(f"bad monomial data {clean}")
         self.exps = clean
+        self._degree = sum(a for _, a in clean)
+
+    @classmethod
+    def _trusted(cls, exps: tuple, degree: int) -> "Monomial":
+        """From (variable, exponent) pairs already sorted by variable, every
+        variable >= 1 and every exponent > 0, and their exponent sum: no
+        re-sorting, no validation."""
+        m = object.__new__(cls)
+        m.exps = exps
+        m._degree = degree
+        return m
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -56,7 +68,7 @@ class Monomial:
         return cls(((v, power),))
 
     def degree(self) -> int:
-        return sum(a for _, a in self.exps)
+        return self._degree
 
     def exponent(self, v: int) -> int:
         for w, a in self.exps:

@@ -280,3 +280,29 @@ def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("matroidlab: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", (
+    lambda state: "{bad",
+    lambda state: json.dumps([state]),
+    lambda state: json.dumps({k: v for k, v in state.items() if k != "cursor"}),
+    lambda state: json.dumps({**state, "cursor": "24"}),
+    lambda state: json.dumps({**state, "tallies": [1]}),
+    lambda state: json.dumps({**state, "cursor": 1000000000}),
+    lambda state: json.dumps({**state, "cursor": -1}),
+    lambda state: json.dumps({**state, "tallies": {**state["tallies"], "basis": 1}}),
+    lambda state: json.dumps({**state, "basis_indices": ["x"]}),
+), ids=(
+    "not-json", "top-level-list", "no-cursor", "string-cursor", "tallies-list",
+    "cursor-past-domain", "negative-cursor", "tallies-off-cursor", "string-basis-index",
+))
+def test_corrupt_checkpoint_exits_two(edit, tmp_path, capsys):
+    path = write_matroid(tmp_path, uniform(2, 4))
+    state = tmp_path / "state.json"
+    argv = ["nbc", "search", "--input", path, "--field", "gf2", "--resume", str(state)]
+    assert run(argv, capsys)[0] == 1
+    state.write_text(edit(json.loads(state.read_text())))
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"matroidlab: checkpoint {state} ") and "Traceback" not in err

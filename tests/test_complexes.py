@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matroidlab.complexes import (
@@ -11,6 +13,7 @@ from matroidlab.complexes import (
     join_decomposition_check,
 )
 from matroidlab.errors import BadParams, DegenerateElement
+from matroidlab.families import named_matroid, phi_matroid, theta_matroid
 from matroidlab.matroids import from_circuits, from_graph, uniform
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
@@ -78,6 +81,21 @@ def test_face_counts_are_ordering_invariant():
     base = f_h_vectors(m, m.ground)
     assert f_h_vectors(m, ("e3", "e1", "e4", "e2")) == base
     assert f_h_vectors(m, ("e4", "e3", "e2", "e1")) == base
+
+
+@pytest.mark.parametrize("m", (
+    *(named_matroid(name) for name in ("r10", "dualk33", "k33", "k4")),
+    uniform(2, 4),
+    theta_matroid((3, 4))[0],
+    phi_matroid((3, 3))[0],
+), ids=("r10", "dualk33", "k33", "k4", "u24", "theta34", "phi33"))
+def test_h_vector_does_not_depend_on_the_ordering(m):
+    base = f_h_vectors(m, m.ground)
+    rng = random.Random(f"h:{len(m.ground)}:{m.rank()}")
+    for _ in range(5):
+        labels = list(m.ground)
+        rng.shuffle(labels)
+        assert f_h_vectors(m, Ordering(labels)) == base, labels
 
 
 def test_h_recursion_on_graphs():

@@ -1,7 +1,10 @@
 import os
+import random
+from itertools import product
 
 import pytest
 
+from matroidlab import engine
 from matroidlab.engine import (
     candidate_monomials,
     count_standard_orderings,
@@ -21,12 +24,12 @@ from matroidlab.errors import (
     NoCocircuitPair,
     NotStandardOrdering,
 )
-from matroidlab.families import named_matroid, theta_matroid
+from matroidlab.families import named_matroid, phi_matroid, theta_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD
 from matroidlab.incidence import fundamental_matrices
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, uniform
-from matroidlab.polynomials import Monomial
+from matroidlab.polynomials import Monomial, minimal_generators, order_key
 
 
 def test_u23_pipeline_over_q():
@@ -268,3 +271,73 @@ def test_checkpoint_roundtrip(tmp_path):
     assert again.tallies == first.tallies
     with pytest.raises(BadParams):
         search_orderings(m, Q_FIELD, policy="exhaustive", checkpoint_path=path)
+
+
+def test_worker_builds_the_matroid_once(monkeypatch):
+    calls = []
+    build = engine.matroid_from_json
+
+    def counting(data):
+        calls.append(data)
+        return build(data)
+
+    monkeypatch.setattr(engine, "matroid_from_json", counting)
+    monkeypatch.setattr(engine, "_WORKER", None)
+    m = named_matroid("k4")
+    engine._init_worker(m.to_json(), "gf2")
+    first = engine._search_chunk([0, 1, 2])
+    second = engine._search_chunk([3, 4])
+    assert len(calls) == 1
+    assert first + second == [engine._check_one(m, k, GF2_FIELD) for k in range(5)]
+
+
+def _small_fixtures():
+    yield from (named_matroid(name) for name in ("r10", "dualk33", "k33", "k4"))
+    yield uniform(2, 4)
+    yield theta_matroid((3, 4))[0]
+    yield phi_matroid((3, 3))[0]
+
+
+def _seeded_orderings(m, count):
+    total = count_standard_orderings(m)
+    rng = random.Random(total)
+    return [standard_ordering_at(m, k) for k in rng.sample(range(total), min(count, total))]
+
+
+def test_order_ideals_match_brute_force():
+    # the reference shares no code with the walk: every point of an exponent
+    # box that no candidate divides, the box reaching past every candidate
+    for matroid in _small_fixtures():
+        for std in _seeded_orderings(matroid, 5):
+            t = len(std.labels) - std.rank
+            cands = [m for _, m in candidate_monomials(matroid, std)]
+            dense = [tuple(c.exponent(v) for v in range(1, t + 1)) for c in cands]
+            top = max(c.degree() for c in cands)
+            want = {
+                Monomial({v + 1: a for v, a in enumerate(e)})
+                for e in product(range(top + 1), repeat=t)
+                if not any(all(x <= y for x, y in zip(c, e)) for c in dense)
+            }
+            upper, lower = order_ideals(matroid, std)
+            assert lower.monomials == want, std
+            assert upper.monomials == minimal_generators(cands), std
+
+
+def test_include_monomials_only_adds_the_list():
+    # U(2,4) gives lsop_invalid, r10 wrong_cardinality, and a sample of
+    # dualk33 over q every verdict kind
+    cases = (
+        (uniform(2, 4), GF2_FIELD, 2), (named_matroid("r10"), GF2_FIELD, 2),
+        (named_matroid("dualk33"), Q_FIELD, 60),
+    )
+    reasons = set()
+    for m, field, count in cases:
+        for std in _seeded_orderings(m, count):
+            full = nbc_check(m, std, field, include_monomials=True)
+            bare = nbc_check(m, std, field, include_monomials=False)
+            assert bare == full._replace(l_monomials=())
+            mons = [Monomial.parse(s) for s in full.l_monomials]
+            assert len(mons) == full.l_size
+            assert mons == sorted(mons, key=order_key("grlex", len(std.cobasis)))
+            reasons.add(full.reason)
+    assert reasons == {"", "wrong_cardinality", "lsop_invalid", "not_independent"}
