@@ -99,12 +99,15 @@ def broken_circuits(matroid: Matroid, ordering) -> tuple:
     return tuple(out)
 
 
-def bc_faces(matroid: Matroid, ordering) -> tuple:
-    """All faces, sorted by (size, positions).  Void (no faces) when a loop exists."""
-    o = _as_ordering(matroid, ordering)
+def _face_masks(matroid: Matroid, o: Ordering):
+    """Every face as a bit mask over 0-based positions; none when a loop exists.
+
+    A mask grows only by positions above its highest bit, and a broken
+    circuit is tested when its highest position is added, so each face is
+    yielded once and every set containing a broken circuit is cut."""
     bcs = broken_circuits(matroid, o)
     if any(not b for b in bcs):
-        return ()
+        return
     n = len(o.labels)
     by_max = [[] for _ in range(n)]
     for b in bcs:
@@ -113,22 +116,26 @@ def bc_faces(matroid: Matroid, ordering) -> tuple:
         for p in positions:
             mask |= 1 << p
         by_max[max(positions)].append(mask)
-    faces_masks = []
-
-    def rec(start: int, mask: int):
-        faces_masks.append(mask)
+    stack = [(0, 0)]
+    while stack:
+        start, mask = stack.pop()
+        yield mask
         for p in range(start, n):
             nm = mask | (1 << p)
-            if any(bm & nm == bm for bm in by_max[p]):
-                continue
-            rec(p + 1, nm)
+            if not any(bm & nm == bm for bm in by_max[p]):
+                stack.append((p + 1, nm))
 
-    rec(0, 0)
-    faces = []
-    for mask in faces_masks:
-        faces.append(frozenset(o.labels[p] for p in range(n) if mask >> p & 1))
-    faces.sort(key=lambda s: (len(s), tuple(sorted(o.position(e) for e in s))))
-    return tuple(faces)
+
+def bc_faces(matroid: Matroid, ordering) -> tuple:
+    """All faces, sorted by (size, positions).  Void (no faces) when a loop exists."""
+    o = _as_ordering(matroid, ordering)
+    n = len(o.labels)
+
+    def spots(mask):
+        return [p for p in range(n) if mask >> p & 1]
+
+    masks = sorted(_face_masks(matroid, o), key=lambda m: (m.bit_count(), spots(m)))
+    return tuple(frozenset(o.labels[p] for p in spots(m)) for m in masks)
 
 
 def bc_facets(matroid: Matroid, ordering) -> tuple:
@@ -147,10 +154,9 @@ def f_h_vectors(matroid: Matroid, ordering) -> tuple:
     arithmetic is exact integer convolution.
     """
     r = matroid.rank()
-    faces = bc_faces(matroid, ordering)
     f = [0] * (r + 1)
-    for s in faces:
-        f[len(s)] += 1
+    for mask in _face_masks(matroid, _as_ordering(matroid, ordering)):
+        f[mask.bit_count()] += 1
     h = [0] * (r + 1)
     for i in range(r + 1):
         if not f[i]:

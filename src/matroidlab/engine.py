@@ -625,11 +625,15 @@ def _matroid_digest(matroid: Matroid) -> str:
 
 
 def _load_checkpoint(
-    path: str, digest: str, policy: str, field: Field, shard: str, domain: int, verdicts,
+    path: str, matroid: Matroid, digest: str, policy: str, field: Field, shard: str,
+    domain: int, verdicts,
 ) -> dict | None:
     """The saved state, or None when there is none yet.  Raises BadParams,
     naming the file, when it is not a JSON object of the saved shape, was
-    written for another run, or does not agree with itself."""
+    written for another run, or does not agree with itself: its basis
+    indices must be ordering indices of the matroid, as many as the basis
+    tally (up to BASIS_INDEX_CAP), and first_basis must be None when that
+    tally is 0 and otherwise the first basis index with its ordering."""
     if not path or not os.path.exists(path):
         return None
     try:
@@ -657,12 +661,24 @@ def _load_checkpoint(
         type(n) is int and n >= 0 for n in tallies.values()
     ):
         raise BadParams(f"checkpoint {path} has malformed tallies")
-    if not all(type(k) is int and k >= 0 for k in state["basis_indices"]):
-        raise BadParams(f"checkpoint {path} has malformed basis indices")
     if sum(tallies.values()) != cursor:
         raise BadParams(
             f"checkpoint {path} has tallies summing to {sum(tallies.values())}, cursor {cursor}"
         )
+    indices, first = state["basis_indices"], state["first_basis"]
+    total = count_standard_orderings(matroid)
+    found = tallies.get("basis", 0)
+    if len(indices) != min(found, BASIS_INDEX_CAP) or not all(
+        type(k) is int and 0 <= k < total for k in indices
+    ):
+        raise BadParams(f"checkpoint {path} has malformed basis indices")
+    want = None
+    if found:
+        want = {"index": indices[0],
+                "ordering": list(standard_ordering_at(matroid, indices[0]).labels)}
+    # True == 1 in Python, so the index also has to be an int
+    if first != want or (want and type(first["index"]) is not int):
+        raise BadParams(f"checkpoint {path} has a first_basis that does not match its bases")
     return state
 
 
@@ -721,7 +737,8 @@ def search_orderings(
     index order, so tallies do not depend on the worker count.  Checkpoints
     store the cursor into the (sharded) index list and are only accepted
     back for the same matroid, policy, field and shard, with a cursor inside
-    the index list and tallies that sum to it.  With more than one worker,
+    the index list, tallies that sum to it, and basis indices and a
+    first_basis that agree with the basis tally.  With more than one worker,
     each worker process builds the matroid once, in the pool initializer.
     """
     total = count_standard_orderings(matroid)
@@ -748,7 +765,9 @@ def search_orderings(
     first_basis = None
     cursor = 0
     state = (
-        _load_checkpoint(checkpoint_path, digest, policy, field, shard_text, domain, tallies)
+        _load_checkpoint(
+            checkpoint_path, matroid, digest, policy, field, shard_text, domain, tallies,
+        )
         if checkpoint_path
         else None
     )

@@ -9,6 +9,7 @@ than a configurable cap, since everything here is desk scale by design.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -26,6 +27,8 @@ from .fields import Field, GF2_FIELD, Q_FIELD, field_from_name
 from .linalg import Matrix, tu_signing
 
 ENUMERATION_CAP = 20
+# 2^61 - 1, a Mersenne prime: the modulus of the column backend's rank test over Q
+RESIDUE_PRIME = (1 << 61) - 1
 
 
 def validate_ground(labels) -> tuple:
@@ -39,6 +42,21 @@ def validate_ground(labels) -> tuple:
 
 
 class _ColumnBackend:
+    """Column matroid of an exact matrix, decided by one modular rank test.
+
+    Every column is reduced once, here, to its residues modulo a prime p:
+    the characteristic over GF(2) and GF(p), where the residues are the
+    entries themselves and the test is exact, and RESIDUE_PRIME = 2^61 - 1
+    over Q.  Over Q a rank mod p equal to |S| proves S independent: some
+    |S| x |S| minor is nonzero mod p, and reduction mod p is a ring map on
+    the rationals whose denominators p does not divide, so that minor is
+    nonzero over Q too.  A smaller rank mod p proves nothing, because p may
+    divide a nonzero minor (a column of multiples of p reads as zero), so
+    then the verdict comes from the exact Fraction rank.  A matrix with a
+    denominator divisible by p has no residues, and every subset takes the
+    exact path.
+    """
+
     kind = "column"
 
     def __init__(self, matrix: Matrix, ground):
@@ -46,10 +64,52 @@ class _ColumnBackend:
             raise BadParams("column count must match ground size")
         self.matrix = matrix
         self.index = {e: i for i, e in enumerate(ground)}
+        self.prime = matrix.field.char or RESIDUE_PRIME
+        self.residues = _column_residues(matrix, self.prime)
 
     def indep(self, subset) -> bool:
-        cols = sorted(self.index[e] for e in subset)
-        return self.matrix.select_columns(cols).rank() == len(cols)
+        cols = [self.index[e] for e in subset]
+        if self.residues is not None:
+            if _independent_mod([self.residues[j] for j in cols], self.prime):
+                return True
+            if self.matrix.field.char:
+                return False  # the residues are the entries: the test was exact
+        return self.matrix.select_columns(sorted(cols)).rank() == len(cols)
+
+
+def _column_residues(matrix: Matrix, p: int):
+    """The columns as tuples of residues mod p, or None when an entry's
+    denominator is divisible by p."""
+    cols = []
+    for col in zip(*matrix.entries):
+        out = []
+        for x in col:
+            x = Fraction(x)
+            if x.denominator % p == 0:
+                return None
+            out.append(x.numerator * pow(x.denominator, -1, p) % p)
+        cols.append(tuple(out))
+    return cols
+
+
+def _independent_mod(columns, p: int) -> bool:
+    """True when the residue columns are linearly independent mod p.
+
+    Each column is reduced against the pivots of those before it and stops
+    the test as soon as one reduces to zero."""
+    reduced = []  # (pivot row, column scaled to 1 there)
+    for col in columns:
+        v = col
+        for piv, w in reduced:
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, w)]
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, p)
+        reduced.append((piv, [a * inv % p for a in v]))
+    return True
 
 
 class _GraphicBackend:
@@ -132,16 +192,22 @@ class Matroid:
 
     def is_independent(self, subset) -> bool:
         s = frozenset(subset)
-        if not s <= set(self.ground):
-            raise BadParams(f"{sorted(s - set(self.ground))} not in ground set")
         hit = self._indep_memo.get(s)
         if hit is None:
+            # the memo holds only subsets of the ground set, so a hit needs no check
+            pos = self.position
+            if not all(e in pos for e in s):
+                raise BadParams(f"{sorted(e for e in s if e not in pos)} not in ground set")
             hit = self._indep_memo[s] = self.backend.indep(s)
         return hit
 
     def rank(self, subset=None) -> int:
         """Rank via greedy extension (valid by the exchange property)."""
-        elems = self.ground if subset is None else [e for e in self.ground if e in set(subset)]
+        if subset is None:
+            elems = self.ground
+        else:
+            keep = set(subset)
+            elems = [e for e in self.ground if e in keep]
         if subset is None and "rank" in self._cache:
             return self._cache["rank"]
         picked = []
@@ -200,14 +266,22 @@ class Matroid:
         return found
 
     def _minimal_scan(self, indep, size_limit):
-        """Minimal dependent sets by increasing size under the given oracle."""
-        found = []
+        """Minimal dependent sets by increasing size under the given oracle.
+
+        Subsets are bit masks over ground positions, so containment of a
+        found set is f & m == f; only a set handed to the oracle becomes
+        a frozenset of labels."""
+        ground = self.ground
+        bits = [1 << i for i in range(len(ground))]
+        masks, found = [], []
         for k in range(1, size_limit + 1):
-            for c in combinations(self.ground, k):
-                s = frozenset(c)
-                if any(f <= s for f in found):
+            for c in combinations(range(len(ground)), k):
+                m = sum(bits[i] for i in c)
+                if any(f & m == f for f in masks):
                     continue
+                s = frozenset(ground[i] for i in c)
                 if not indep(s):
+                    masks.append(m)
                     found.append(s)
         return found
 
@@ -694,8 +768,6 @@ def _contract_column(mat: Matrix, col: int) -> Matrix:
 
 
 def _signed_incidence(be: _GraphicBackend, ground) -> Matrix:
-    from fractions import Fraction
-
     verts = sorted({w for u, v in be.edges for w in (u, v)})
     vidx = {v: i for i, v in enumerate(verts)}
     cols = []
@@ -713,8 +785,6 @@ def _signed_incidence(be: _GraphicBackend, ground) -> Matrix:
 
 
 def _uniform_representation(r: int, n: int, field: Field):
-    from fractions import Fraction
-
     if r == 0:
         return Matrix.zero(field, 1, n)
     if r == n:

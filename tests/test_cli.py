@@ -282,6 +282,20 @@ def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     assert err.startswith("matroidlab: ") and "Traceback" not in err
 
 
+# the first standard ordering of U(2,4) and another one
+U24_AT_0 = ["e3", "e4", "e1", "e2"]
+U24_AT_1 = ["e3", "e4", "e2", "e1"]
+
+
+def with_basis(state, first_basis, index=0):
+    """The state with one lsop_invalid result re-tallied as a basis at `index`."""
+    tallies = {**state["tallies"], "basis": 1}
+    tallies["lsop_invalid"] -= 1
+    return json.dumps({
+        **state, "tallies": tallies, "basis_indices": [index], "first_basis": first_basis,
+    })
+
+
 @pytest.mark.parametrize("edit", (
     lambda state: "{bad",
     lambda state: json.dumps([state]),
@@ -292,9 +306,21 @@ def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     lambda state: json.dumps({**state, "cursor": -1}),
     lambda state: json.dumps({**state, "tallies": {**state["tallies"], "basis": 1}}),
     lambda state: json.dumps({**state, "basis_indices": ["x"]}),
+    lambda state: json.dumps({**state, "first_basis": {"index": 0, "ordering": U24_AT_0}}),
+    lambda state: with_basis(state, None),
+    lambda state: with_basis(state, {"index": "zz"}),
+    lambda state: with_basis(state, {"index": 0}),
+    lambda state: with_basis(state, {"index": True, "ordering": U24_AT_0}),
+    lambda state: with_basis(state, {"index": 0, "ordering": U24_AT_0, "extra": 1}),
+    lambda state: with_basis(state, {"index": 0, "ordering": ["e1", "e2", "e3", "e4"]}),
+    lambda state: with_basis(state, {"index": 1, "ordering": U24_AT_1}),
+    lambda state: with_basis(state, {"index": 24, "ordering": U24_AT_0}, index=24),
 ), ids=(
     "not-json", "top-level-list", "no-cursor", "string-cursor", "tallies-list",
     "cursor-past-domain", "negative-cursor", "tallies-off-cursor", "string-basis-index",
+    "first-basis-without-basis", "basis-without-first-basis", "string-first-basis-index",
+    "first-basis-without-ordering", "bool-first-basis-index", "first-basis-extra-key",
+    "first-basis-wrong-ordering", "first-basis-off-the-indices", "basis-index-past-total",
 ))
 def test_corrupt_checkpoint_exits_two(edit, tmp_path, capsys):
     path = write_matroid(tmp_path, uniform(2, 4))
@@ -306,3 +332,14 @@ def test_corrupt_checkpoint_exits_two(edit, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"matroidlab: checkpoint {state} ") and "Traceback" not in err
+
+
+def test_checkpoint_with_a_basis_resumes(tmp_path, capsys):
+    path = write_matroid(tmp_path, uniform(2, 4))
+    state = tmp_path / "state.json"
+    argv = ["nbc", "search", "--input", path, "--field", "gf2", "--resume", str(state)]
+    run(argv, capsys)
+    state.write_text(with_basis(json.loads(state.read_text()), {"index": 0, "ordering": U24_AT_0}))
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["first_basis"] == {"index": 0, "ordering": U24_AT_0}

@@ -14,7 +14,9 @@ from matroidlab.complexes import (
 )
 from matroidlab.errors import BadParams, DegenerateElement
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
-from matroidlab.matroids import from_circuits, from_graph, uniform
+from matroidlab.fields import GF2_FIELD
+from matroidlab.linalg import Matrix
+from matroidlab.matroids import from_circuits, from_graph, from_matrix, uniform
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
 
@@ -83,12 +85,31 @@ def test_face_counts_are_ordering_invariant():
     assert f_h_vectors(m, ("e4", "e3", "e2", "e1")) == base
 
 
+def random_binary(seed):
+    """Eight distinct nonzero columns of a seeded random 4-row GF(2) matrix."""
+    rng = random.Random(f"binary:{seed}")
+    cols = rng.sample(range(1, 16), 8)
+    rows = [[c >> i & 1 for c in cols] for i in range(4)]
+    return from_matrix(Matrix.from_int_rows(GF2_FIELD, rows))
+
+
+def random_graphic(seed):
+    """Nine seeded random edges, parallel ones allowed, on five vertices, no loops."""
+    rng = random.Random(f"graphic:{seed}")
+    return from_graph([tuple(rng.sample(range(5), 2)) for _ in range(9)])
+
+
 @pytest.mark.parametrize("m", (
     *(named_matroid(name) for name in ("r10", "dualk33", "k33", "k4")),
     uniform(2, 4),
     theta_matroid((3, 4))[0],
     phi_matroid((3, 3))[0],
-), ids=("r10", "dualk33", "k33", "k4", "u24", "theta34", "phi33"))
+    *(random_binary(seed) for seed in (1, 2, 3)),
+    *(random_graphic(seed) for seed in (1, 2, 3)),
+), ids=(
+    "r10", "dualk33", "k33", "k4", "u24", "theta34", "phi33",
+    "binary1", "binary2", "binary3", "graphic1", "graphic2", "graphic3",
+))
 def test_h_vector_does_not_depend_on_the_ordering(m):
     base = f_h_vectors(m, m.ground)
     rng = random.Random(f"h:{len(m.ground)}:{m.rank()}")

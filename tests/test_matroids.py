@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,9 +14,10 @@ from matroidlab.errors import (
     NotRegular,
     Overbudget,
 )
-from matroidlab.fields import GF2_FIELD, Q_FIELD
+from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
 from matroidlab.linalg import Matrix, gf2_matrix
 from matroidlab.matroids import (
+    RESIDUE_PRIME as P,
     circuit_axioms_ok,
     cocircuits_via_transversals,
     from_circuits,
@@ -203,3 +206,74 @@ def test_enumeration_guard():
         m.circuits(cap=4)
     with pytest.raises(BadParams):
         m.is_independent({"zz"})
+
+
+def assert_oracle_is_exact_rank(m):
+    """is_independent against the exact rank of the columns, on every column subset."""
+    mat = m.backend.matrix
+    n = len(m.ground)
+    for k in range(n + 1):
+        for cols in combinations(range(n), k):
+            want = mat.select_columns(cols).rank() == k
+            assert m.is_independent([m.ground[j] for j in cols]) == want, cols
+
+
+def test_multiples_of_the_residue_prime_are_not_zero():
+    # e1 is zero mod P, and det(e1, e2) = det(e2, e3) = P: all three pairs
+    # are dependent mod P and independent over Q
+    m = from_matrix(Matrix.from_int_rows(Q_FIELD, [[P, 1, 1], [0, 1, 1 + P]]))
+    assert m.is_independent(["e1"])
+    assert m.is_independent(["e1", "e2"]) and m.is_independent(["e2", "e3"])
+    assert m.circuits() == (frozenset({"e1", "e2", "e3"}),)
+    assert_oracle_is_exact_rank(m)
+
+
+def test_denominator_of_the_residue_prime_takes_the_exact_path():
+    m = from_matrix(Matrix(Q_FIELD, [
+        [Fraction(1, P), Fraction(0), Fraction(1)],
+        [Fraction(0), Fraction(2), Fraction(2)],
+    ]))
+    assert m.backend.residues is None
+    assert m.is_independent(["e1", "e2"])
+    assert not m.is_independent(["e1", "e2", "e3"])
+    assert_oracle_is_exact_rank(m)
+
+
+Q_ENTRIES = (0, 0, 1, -1, 2, P, -P, 2 * P, Fraction(1, 2), Fraction(P, 3))
+
+
+@pytest.mark.parametrize("field_name", ("q", "gf2", "gf3"))
+def test_oracle_is_exact_rank_on_random_matrices(field_name):
+    field = field_from_name(field_name)
+    rng = random.Random(f"oracle:{field_name}")
+    for _ in range(25):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+        if field_name == "q":
+            entries = [[Fraction(rng.choice(Q_ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+            m = from_matrix(Matrix(Q_FIELD, entries))
+        else:
+            entries = [[rng.randrange(field.char) for _ in range(cols)] for _ in range(rows)]
+            m = from_matrix(Matrix.from_int_rows(field, entries))
+        assert_oracle_is_exact_rank(m)
+
+
+def signed_incidence(edges):
+    verts = sorted({v for e in edges for v in e})
+    rows = [[0] * len(edges) for _ in verts]
+    for j, (u, v) in enumerate(edges):
+        if u != v:
+            rows[verts.index(u)][j] = 1
+            rows[verts.index(v)][j] = -1
+    return Matrix.from_int_rows(Q_FIELD, rows)
+
+
+def test_graph_circuits_equal_incidence_matrix_circuits():
+    rng = random.Random("graphs")
+    for _ in range(30):
+        nverts = rng.randint(2, 5)
+        edges = [
+            (rng.randrange(nverts), rng.randrange(nverts)) for _ in range(rng.randint(1, 8))
+        ]
+        graphic = from_graph(edges)
+        column = from_matrix(signed_incidence(edges))
+        assert graphic.circuits() == column.circuits(), edges
