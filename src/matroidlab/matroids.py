@@ -605,10 +605,9 @@ def matroid_from_json(data) -> Matroid:
             raise BadParams("every edge must list two vertices")
         return from_graph([tuple(e) for e in edges], labels)
     if kind == "uniform":
-        try:
-            rank = int(data["rank"])
-        except (KeyError, TypeError, ValueError):
-            raise BadParams("uniform matroid JSON needs an integer 'rank'") from None
+        rank = data.get("rank")
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise BadParams("uniform matroid JSON needs an integer 'rank'")
         return uniform(rank, len(labels), labels)
     if kind == "circuits":
         circuits = _json_list(data, "circuits", True)

@@ -22,6 +22,7 @@ never an assumption:
 from __future__ import annotations
 
 import re
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -39,10 +40,7 @@ class Monomial:
     __slots__ = ("exps", "_degree")
 
     def __init__(self, exps=()):
-        if isinstance(exps, dict):
-            items = exps.items()
-        else:
-            items = exps
+        items = exps.items() if isinstance(exps, dict) else exps
         clean = tuple(sorted((int(v), int(a)) for v, a in items if a))
         if any(v < 1 or a < 0 for v, a in clean):
             raise BadParams(f"bad monomial data {clean}")
@@ -83,7 +81,7 @@ class Monomial:
         d = dict(self.exps)
         for v, a in other.exps:
             d[v] = d.get(v, 0) + a
-        return Monomial(d)
+        return Monomial._trusted(tuple(sorted(d.items())), self._degree + other._degree)
 
     def divides(self, other: "Monomial") -> bool:
         od = dict(other.exps)
@@ -142,7 +140,12 @@ class Monomial:
 
 
 def _dense(m: Monomial, nvars: int) -> tuple:
-    return tuple(m.exponent(v) for v in range(1, nvars + 1))
+    out = [0] * nvars
+    for v, a in m.exps:
+        if v > nvars:
+            break
+        out[v - 1] = a
+    return tuple(out)
 
 
 def order_key(order: str, nvars: int):
@@ -166,10 +169,7 @@ class Polynomial:
 
     def __init__(self, field: Field, nvars: int, terms):
         z = field.zero()
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
+        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict = {}
         for m, c in items:
             if c == z:
@@ -212,16 +212,8 @@ class Polynomial:
         return max((m.degree() for m in self.terms), default=0)
 
     def add(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        F = self.field
-        z = F.zero()
-        for m, c in other.terms.items():
-            s = F.add(out.get(m, z), c)
-            if s == z:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(F, self.nvars, out)
+        # the constructor sums equal monomials and drops zero sums
+        return Polynomial(self.field, self.nvars, [*self.terms.items(), *other.terms.items()])
 
     def neg(self) -> "Polynomial":
         F = self.field
@@ -243,17 +235,10 @@ class Polynomial:
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         F = self.field
-        z = F.zero()
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = F.add(out.get(m, z), F.mul(c1, c2))
-                if s == z:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(F, self.nvars, out)
+        return Polynomial(F, self.nvars, [
+            (m1.mul(m2), F.mul(c1, c2))
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
+        ])
 
     def leading(self, key) -> tuple:
         m = max(self.terms, key=key)
@@ -342,25 +327,79 @@ class Ideal(NamedTuple):
 # -- reduction / Buchberger ---------------------------------------------------
 
 
-def normal_form(poly: Polynomial, basis, key) -> Polynomial:
-    """Remainder of poly under multivariate division by basis (any order of use
-    is made deterministic by always picking the first divisor in list order)."""
-    F = poly.field
-    rem: dict = {}
-    work = Polynomial(F, poly.nvars, dict(poly.terms))
-    leads = [(g.leading(key)[0], g) for g in basis if not g.is_zero()]
-    while not work.is_zero():
-        m, c = work.leading(key)
-        hit = next(((lm, g) for lm, g in leads if lm.divides(m)), None)
-        if hit is None:
-            rem[m] = c
-            work = Polynomial(F, poly.nvars, {mm: cc for mm, cc in work.terms.items() if mm != m})
+def _descending(k):
+    return tuple(map(_descending, k)) if isinstance(k, tuple) else -k
+
+
+class _Index(dict):
+    """Monomial -> (heap key, the first object of its value), filled on
+    demand.  The heap key negates key(m), so heapq pops the largest first."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __missing__(self, m):
+        entry = self[m] = (_descending(self.key(m)), m)
+        return entry
+
+
+def _leads(polys, key) -> list:
+    """(lead monomial, lead coefficient, other terms) of each nonzero term dict."""
+    leads = []
+    for t in polys:
+        if t:
+            lm = max(t, key=key)
+            leads.append((lm, t[lm], [(m, c) for m, c in t.items() if m != lm]))
+    return leads
+
+
+def _submul(work: dict, heap: list, index: _Index, F: Field, tail, t: Monomial, f) -> None:
+    """work -= f * t * tail, in place; a term new to work goes on the heap."""
+    z = F.zero()
+    for gm, gc in tail:
+        entry = index[gm.mul(t)]
+        p = entry[1]
+        c = F.sub(work.get(p, z), F.mul(f, gc))
+        if c == z:
+            del work[p]
+        else:
+            if p not in work:
+                heappush(heap, entry)
+            work[p] = c
+
+
+def _reduce(work: dict, leads: list, F: Field, index: _Index) -> dict:
+    """Remainder of the polynomial `work` (consumed) on division by the
+    polynomials of `leads`, its terms in descending order.
+
+    Division rule: take the largest remaining term c*m.  If the lead of
+    some divisor divides m, subtract c/lc(g) * (m/lm(g)) * g in place for
+    the first such g in list order, which cancels m; otherwise move c*m to
+    the remainder.
+    """
+    heap = [index[m] for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:  # cancelled after it was pushed
             continue
-        lm, g = hit
-        glm, glc = g.leading(key)
-        factor = F.div(c, glc)
-        work = work.sub(g.term_mul(m.div(glm), factor))
-    return Polynomial(F, poly.nvars, rem)
+        for lm, lc, tail in leads:
+            if lm.divides(m):
+                _submul(work, heap, index, F, tail, m.div(lm), F.div(c, lc))
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def normal_form(poly: Polynomial, basis, key) -> Polynomial:
+    """Remainder of poly under multivariate division by basis: the largest
+    remaining term is divided by the first element of basis, in list order,
+    whose lead divides it."""
+    leads = _leads([g.terms for g in basis], key)
+    return Polynomial(poly.field, poly.nvars, _reduce(dict(poly.terms), leads, poly.field, _Index(key)))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
@@ -374,84 +413,64 @@ def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
 def groebner_basis(ideal: Ideal, order: str = "grlex") -> tuple:
     """Reduced Groebner basis via Buchberger with sugar strategy.
 
-    Pairs are processed by (sugar, lcm degree); the coprime-lead product
-    criterion and the chain criterion prune useless S-polynomials.
+    Pair (i, j) gets its key (sugar, lcm degree, i, j) once, when its later
+    element is appended.  Leads and sugar never change after that, so the
+    pair heap pops the pending pair of least key, the one that min() over
+    the pending pairs picks.  The product criterion skips coprime leads.
+    The chain criterion skips (i, j) when another lead lm_k divides
+    lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is pending: S(i, j) is
+    then a combination of multiples of S(i, k) and S(k, j), which were
+    handled already (Cox, Little, O'Shea, Ideals, Varieties, and
+    Algorithms, section 2.10).  The result holds one object per distinct
+    monomial and per distinct coefficient.
     """
     key = order_key(order, ideal.nvars)
-    basis = [g.monic(key) for g in ideal.generators if not g.is_zero()]
-    if not basis:
-        return ()
-    sugar = [g.total_degree() for g in basis]
+    F, index = ideal.field, _Index(key)
+    basis = [g.monic(key).terms for g in ideal.generators if not g.is_zero()]
+    leads = _leads(basis, key)
+    sugar = [max(m.degree() for m in g) for g in basis]
+    heap, pending = [], set()
 
-    def pair_sugar(i, j):
-        fm = basis[i].leading(key)[0]
-        gm = basis[j].leading(key)[0]
+    def add_pairs(j):
+        lj = leads[j][0]
+        for i, (li, _, _) in enumerate(leads[:j]):
+            d = li.lcm(lj).degree()
+            heappush(heap, (max(sugar[i] + d - li.degree(), sugar[j] + d - lj.degree()), d, i, j))
+            pending.add((i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
+    while heap:
+        s, _, i, j = heappop(heap)
+        pending.discard((i, j))
+        (fm, fc, ftail), (gm, gc, gtail) = leads[i], leads[j]
         l = fm.lcm(gm)
-        return max(
-            sugar[i] + l.div(fm).degree(),
-            sugar[j] + l.div(gm).degree(),
-        )
+        if fm.is_coprime(gm) or any(
+            k not in (i, j) and lk.divides(l) and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending for k, (lk, _, _) in enumerate(leads)
+        ):
+            continue
+        work: dict = {}  # S(i, j) without its lcm term, which cancels
+        _submul(work, [], index, F, ftail, l.div(fm), F.neg(F.inv(fc)))
+        _submul(work, [], index, F, gtail, l.div(gm), F.inv(gc))
+        r = _reduce(work, leads, F, index)
+        if r:
+            inv = F.inv(next(iter(r.values())))  # the first term leads
+            basis.append({m: F.mul(inv, c) for m, c in r.items()})
+            leads += _leads(basis[-1:], key)
+            sugar.append(max(s, max(m.degree() for m in r)))
+            add_pairs(len(basis) - 1)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                pair_sugar(*p),
-                basis[p[0]].leading(key)[0].lcm(basis[p[1]].leading(key)[0]).degree(),
-                p,
-            ),
-        )
-        pairs.discard((i, j))
-        fm = basis[i].leading(key)[0]
-        gm = basis[j].leading(key)[0]
-        if fm.is_coprime(gm):
-            continue
-        l = fm.lcm(gm)
-        # chain criterion: some k whose lead divides the lcm, with both
-        # sibling pairs already handled
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if basis[k].leading(key)[0].divides(l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = s_polynomial(basis[i], basis[j], key)
-        r = normal_form(s, basis, key)
-        if r.is_zero():
-            continue
-        r = r.monic(key)
-        new = len(basis)
-        new_sugar = max(
-            sugar[i] + l.div(fm).degree(),
-            sugar[j] + l.div(gm).degree(),
-        )
-        basis.append(r)
-        sugar.append(max(new_sugar, r.total_degree()))
-        pairs.update((t, new) for t in range(new))
-
-    # interreduce to the unique reduced basis
-    reduced = []
-    leads = [g.leading(key)[0] for g in basis]
-    for i, g in enumerate(basis):
-        lm = leads[i]
-        if any(j != i and leads[j].divides(lm) and (leads[j] != lm or j < i) for j in range(len(basis))):
-            continue
-        reduced.append(g)
-    final = []
-    for i, g in enumerate(reduced):
-        others = reduced[:i] + reduced[i + 1:]
-        r = normal_form(g, others, key) if others else g
-        if not r.is_zero():
-            final.append(r.monic(key))
-    final.sort(key=lambda g: key(g.leading(key)[0]))
-    return tuple(final)
+    # interreduce to the unique reduced basis (no kept lead divides another)
+    keep = [i for i, (lm, _, _) in enumerate(leads) if not any(
+        j != i and lj.divides(lm) and (lj != lm or j < i) for j, (lj, _, _) in enumerate(leads))]
+    final, share = [], {}
+    for i in keep:
+        others = [leads[j] for j in keep if j != i]
+        r = _reduce(dict(basis[i]), others, F, index) if others else basis[i]
+        final.append((key(leads[i][0]), {share.setdefault(m, m): share.setdefault(c, c) for m, c in r.items()}))
+    final.sort(key=lambda t: t[0])
+    return tuple(Polynomial(F, ideal.nvars, t) for _, t in final)
 
 
 # -- quotient dimension -------------------------------------------------------
@@ -642,8 +661,10 @@ def normal_form_span(ideal: Ideal, gb, mons, order: str = "grlex") -> tuple:
     key = order_key(order, ideal.nvars)
     F = ideal.field
     z = F.zero()
+    index = _Index(key)
+    leads = _leads([g.terms for g in gb], key)
     forms = [
-        (m, normal_form(Polynomial.from_monomial(F, ideal.nvars, m), gb, key))
+        (m, Polynomial(F, ideal.nvars, _reduce({m: F.one()}, leads, F, index)))
         for m in sorted(mons, key=key)
     ]
     cols: dict = {}

@@ -257,6 +257,9 @@ U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
 
 @pytest.mark.parametrize("argv,data,env", (
     (["info"], {"type": "uniform", "labels": ["a", "b", "c"]}, {}),
+    (["info"], {"type": "uniform", "labels": ["a", "b", "c"], "rank": 1.5}, {}),
+    (["info"], {"type": "uniform", "labels": ["a", "b", "c"], "rank": "2"}, {}),
+    (["info"], {"type": "uniform", "labels": ["a", "b", "c"], "rank": True}, {}),
     (["info"], {"type": "uniform", "rank": 1}, {}),
     (["info"], {"type": "graphic", "labels": ["a"], "edges": [["u"]]}, {}),
     (["info"], {"type": "column", "labels": ["a"], "field": "q", "matrix": [["z"]]}, {}),
@@ -269,9 +272,9 @@ U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
     (["nbc", "search", "--checkpoint-every", "0"], U23, {}),
     (["nbc", "search"], U23, {"MATROIDLAB_WORKERS": "x"}),
 ), ids=(
-    "uniform-without-rank", "no-labels", "one-vertex-edge", "bad-entry", "bad-field",
-    "nested-circuit", "matroid-not-object", "string-ordering", "bad-shard", "bad-sample",
-    "checkpoint-every-0", "bad-workers-env",
+    "uniform-without-rank", "float-rank", "string-rank", "bool-rank", "no-labels",
+    "one-vertex-edge", "bad-entry", "bad-field", "nested-circuit", "matroid-not-object",
+    "string-ordering", "bad-shard", "bad-sample", "checkpoint-every-0", "bad-workers-env",
 ))
 def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     for key, value in env.items():

@@ -30,6 +30,7 @@ from matroidlab.incidence import fundamental_matrices
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, uniform
 from matroidlab.polynomials import Monomial, minimal_generators, order_key
+from test_complexes import random_binary, random_graphic
 
 
 def test_u23_pipeline_over_q():
@@ -341,3 +342,28 @@ def test_include_monomials_only_adds_the_list():
             assert mons == sorted(mons, key=order_key("grlex", len(std.cobasis)))
             reasons.add(full.reason)
     assert reasons == {"", "wrong_cardinality", "lsop_invalid", "not_independent"}
+
+
+@pytest.mark.parametrize("m,field", (
+    *(pytest.param(named_matroid(name), F, id=f"{name}-{F.name}")
+      for name in ("k4", "k33", "dualk33") for F in (GF2_FIELD, Q_FIELD)),
+    *(pytest.param(random_graphic(seed), F, id=f"graphic{seed}-{F.name}")
+      for seed in (1, 2, 3) for F in (GF2_FIELD, Q_FIELD)),
+    # a binary matroid that is not regular has no representation over q
+    *(pytest.param(random_binary(seed), GF2_FIELD, id=f"binary{seed}-gf2") for seed in (1, 2, 3)),
+))
+def test_macaulay_and_groebner_agree_on_matroid_quotients(m, field):
+    rng = random.Random(f"oracle:{sorted(map(sorted, m.circuits()))}:{field.name}")
+    total = count_standard_orderings(m)
+    verdicts = []
+    for _ in range(400):
+        std = standard_ordering_at(m, rng.randrange(total))
+        mac = nbc_check(m, std, field, method="macaulay")
+        if not mac.cardinality_ok:
+            continue
+        # "both" raises if the Buchberger normal forms disagree with Macaulay
+        assert nbc_check(m, std, field, method="both").verdict == mac.verdict
+        verdicts.append(mac.reason or "basis")
+        if len(verdicts) == 5:
+            break
+    assert len(verdicts) == 5, verdicts

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from matroidlab.engine import lsop, standard_ordering_at
 from matroidlab.errors import BadParams, NotArtinian
+from matroidlab.families import list_named, named_matroid
 from matroidlab.fields import GF2_FIELD, GFp, Q_FIELD
 from matroidlab.polynomials import (
     Ideal,
@@ -246,6 +248,33 @@ def test_groebner_matches_independent_library():
             for e in theirs.exprs
         }
         assert {_to_sympy(p, xs, sympy) for p in ours} == monic, order
+    # the lsop ideals the oracle serves: every named fixture over gf2 and q
+    for name in list_named():
+        m = named_matroid(name)
+        for F in (GF2_FIELD, Q_FIELD):
+            ideal = lsop(m, standard_ordering_at(m, 0), F).ideal
+            xs = sympy.symbols(f"x1:{ideal.nvars + 1}")
+            opts = {"modulus": 2} if F is GF2_FIELD else {}
+            theirs = sympy.groebner(
+                [_to_sympy(p, xs, sympy) for p in ideal.generators], *xs, order="grlex", **opts
+            )
+            monic = {
+                sympy.Poly(e / sympy.LC(e, *xs, order="grlex"), *xs, **opts)
+                for e in theirs.exprs
+            }
+            ours = groebner_basis(ideal)
+            assert {sympy.Poly(_to_sympy(p, xs, sympy), *xs, **opts) for p in ours} == monic, name
+
+
+def test_groebner_basis_shares_equal_terms():
+    m = named_matroid("k33")
+    for F in (GF2_FIELD, Q_FIELD):
+        gb = groebner_basis(lsop(m, standard_ordering_at(m, 0), F).ideal)
+        terms = [t for g in gb for t in g.terms.items()]
+        for part in (0, 1):
+            values = [t[part] for t in terms]
+            assert len({id(x) for x in values}) == len(set(values))
+        assert len(terms) > len({mono for mono, _ in terms})  # some monomial repeats
 
 
 def test_groebner_method_computes_the_basis_once(monkeypatch):
