@@ -126,25 +126,29 @@ def _face_masks(matroid: Matroid, o: Ordering):
                 stack.append((p + 1, nm))
 
 
-def bc_faces(matroid: Matroid, ordering) -> tuple:
-    """All faces, sorted by (size, positions).  Void (no faces) when a loop exists."""
-    o = _as_ordering(matroid, ordering)
+def _sorted_faces(o: Ordering, masks) -> tuple:
+    """The masks as label frozensets, sorted by (size, positions)."""
     n = len(o.labels)
 
     def spots(mask):
         return [p for p in range(n) if mask >> p & 1]
 
-    masks = sorted(_face_masks(matroid, o), key=lambda m: (m.bit_count(), spots(m)))
+    masks = sorted(masks, key=lambda m: (m.bit_count(), spots(m)))
     return tuple(frozenset(o.labels[p] for p in spots(m)) for m in masks)
 
 
+def bc_faces(matroid: Matroid, ordering) -> tuple:
+    """All faces, sorted by (size, positions).  Void (no faces) when a loop exists."""
+    o = _as_ordering(matroid, ordering)
+    return _sorted_faces(o, _face_masks(matroid, o))
+
+
 def bc_facets(matroid: Matroid, ordering) -> tuple:
-    """Maximal faces.  The complex is pure, so these all have size rank."""
-    faces = bc_faces(matroid, ordering)
-    if not faces:
-        return ()
+    """Maximal faces, sorted by positions.  The complex is pure, so these
+    are the faces of size rank; no smaller face is built."""
+    o = _as_ordering(matroid, ordering)
     r = matroid.rank()
-    return tuple(f for f in faces if len(f) == r)
+    return _sorted_faces(o, [m for m in _face_masks(matroid, o) if m.bit_count() == r])
 
 
 def f_h_vectors(matroid: Matroid, ordering) -> tuple:

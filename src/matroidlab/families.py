@@ -16,13 +16,17 @@ from .errors import BadParams, UnknownName
 from .fields import GF2_FIELD, Q_FIELD
 from .linalg import Matrix
 from .matroids import (
-    Matroid, from_graph, from_matrix, represented_parallel_connection, uniform,
+    Matroid, from_graph, from_matrix, represented_parallel_connection, seed_enumerations,
+    uniform,
 )
 
 
-def _column_uniform(rank: int, labels) -> Matroid:
-    u = uniform(rank, len(labels), labels)
-    return from_matrix(u.representation_over(Q_FIELD))
+def _column_uniform(labels) -> Matroid:
+    """U(n-1, n) on the labels as a column matroid over Q; its one circuit
+    is the whole ground set, which is seeded, with its rank n - 1."""
+    n = len(labels)
+    m = from_matrix(uniform(n - 1, n, labels).representation_over(Q_FIELD))
+    return seed_enumerations(m, [frozenset(m.ground)], n - 1)
 
 
 def _checked_sizes(sizes) -> tuple:
@@ -47,7 +51,7 @@ def theta_matroid(sizes) -> tuple:
     parts = []
     for i, s in enumerate(sizes, start=1):
         others = [f"c{i}e{k}" for k in range(1, s)]
-        parts.append((_column_uniform(s - 1, ["p"] + others), others))
+        parts.append((_column_uniform(["p"] + others), others))
     glued = parts[0][0]
     for m, _ in parts[1:]:
         glued = represented_parallel_connection(glued, m, "p")
@@ -84,7 +88,7 @@ def phi_matroid(sizes) -> tuple:
         own = [f"c{i}e{k}" for k in range(1, s + 1 - len(base))]
         if len(base) + len(own) != s:
             raise BadParams(f"component {i} of size {s} cannot carry {len(base)} basepoints")
-        parts.append((_column_uniform(s - 1, base + own), own))
+        parts.append((_column_uniform(base + own), own))
     glued = parts[0][0]
     for i in range(1, t):
         glued = represented_parallel_connection(glued, parts[i][0], f"p{i + 1}")

@@ -321,12 +321,19 @@ class Matroid:
         return b
 
     def fundamental_circuit(self, basis, e: str) -> frozenset:
-        """The unique circuit inside basis + {e} through e."""
+        """The unique circuit inside basis + {e} through e.
+
+        With the circuits cached it is the one cached circuit through e
+        inside basis + {e}; otherwise each basis element is dropped in turn
+        while what is left stays dependent, at r oracle queries."""
         b = self._check_basis(basis)
         if e in b:
             raise NotCobasisElement(f"{e} lies in the basis")
         if e not in self.position:
             raise BadParams(f"{e} not in ground set")
+        if "circuits" in self._cache:
+            s = b | {e}
+            return next(c for c in self._cache["circuits"] if e in c and c <= s)
         s = set(b) | {e}
         for x in sorted(b, key=self.position.get):
             t = s - {x}
@@ -629,16 +636,29 @@ def parallel_connection(m: Matroid, n: Matroid, p: str) -> Matroid:
         raise BadOverlap(f"ground sets must overlap exactly in {{{p}}}, got {sorted(overlap)}")
     if not m.is_independent([p]) or not n.is_independent([p]):
         raise DegenerateElement(f"basepoint {p} must not be a loop")
-    cm, cn = m.circuits(), n.circuits()
-    merged = [
-        (c1 | c2) - {p}
-        for c1 in cm
-        if p in c1
-        for c2 in cn
-        if p in c2
-    ]
     ground = list(m.ground) + [e for e in n.ground if e != p]
-    return from_circuits(list(cm) + list(cn) + merged, ground)
+    return from_circuits(_parallel_circuits(m.circuits(), n.circuits(), p), ground)
+
+
+def _parallel_circuits(cm, cn, p: str) -> list:
+    """Circuits of the parallel connection along p, which is a loop of
+    neither part: C(M) + C(N) + {(C1 + C2) - p : p in C1 in C(M), p in C2
+    in C(N)} (Oxley, Matroid Theory, 2011, Prop. 7.1.13)."""
+    merged = [(c1 | c2) - {p} for c1 in cm if p in c1 for c2 in cn if p in c2]
+    return list(cm) + list(cn) + merged
+
+
+def seed_enumerations(m: Matroid, circuits, rank: int) -> Matroid:
+    """Cache the rank and circuits (None: unknown) that a construction
+    proves, and return m.
+
+    The circuits are stored in the order circuits() gives them, and only
+    when the ground set is within ENUMERATION_CAP, so a seeded matroid
+    refuses the same enumerations as one that scans."""
+    m._cache["rank"] = rank
+    if circuits is not None and len(m.ground) <= ENUMERATION_CAP:
+        m._cache["circuits"] = tuple(sorted(circuits, key=m._circuit_key))
+    return m
 
 
 def represented_parallel_connection(m: Matroid, n: Matroid, p: str) -> Matroid:
@@ -647,6 +667,11 @@ def represented_parallel_connection(m: Matroid, n: Matroid, p: str) -> Matroid:
     Both operands must be column matroids over the same field.  Each
     representation is row-reduced so the basepoint column is the first unit
     vector, then the two are glued along that coordinate.
+
+    The result's rank is r(M) + r(N) - 1, since p is a loop of neither
+    part (Oxley, Matroid Theory, 2011, Prop. 7.1.15).  When both parts have
+    their circuits cached, the result's circuits are seeded from theirs
+    (Prop. 7.1.13), so it never scans subsets for them.
     """
     overlap = set(m.ground) & set(n.ground)
     if overlap != {p}:
@@ -671,7 +696,10 @@ def represented_parallel_connection(m: Matroid, n: Matroid, p: str) -> Matroid:
         cols[e] = [c[0]] + [z] * (ra - 1) + list(c[1:])
     ground = list(m.ground) + [e for e in n.ground if e != p]
     rows = [[cols[e][i] for e in ground] for i in range(ra + rb - 1)]
-    return from_matrix(Matrix(F, rows), ground)
+    glued = from_matrix(Matrix(F, rows), ground)
+    cm, cn = m._cache.get("circuits"), n._cache.get("circuits")
+    circuits = None if cm is None or cn is None else _parallel_circuits(cm, cn, p)
+    return seed_enumerations(glued, circuits, m.rank() + n.rank() - 1)
 
 
 def _basepoint_first(mat: Matrix, col: int) -> Matrix:

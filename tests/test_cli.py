@@ -234,6 +234,22 @@ def test_lsop_reports_invalid_facet(tmp_path, capsys):
     assert data["invalid_facet"] is not None
 
 
+def test_check_names_the_invalid_facet(tmp_path, capsys):
+    path = write_matroid(tmp_path, uniform(2, 4, labels=("a", "b", "c", "d")))
+    code, out, _ = run(["nbc", "check", "--input", path, "--field", "gf2"], capsys)
+    assert code == 1
+    assert out == (
+        '{\n  "cardinality_ok": true,\n  "field": "gf2",\n  "h": [\n    1,\n    2,\n    0\n'
+        '  ],\n  "independent": null,\n  "l": [\n    "1",\n    "x2",\n    "x1"\n  ],\n'
+        '  "l_size": 3,\n  "lsop_valid": false,\n  "ordering": [\n    "a",\n    "b",\n'
+        '    "c",\n    "d"\n  ],\n  "quotient_dim": null,\n  "reason": "lsop_invalid",\n'
+        '  "verdict": "not_basis",\n  "witness": "{a,b}"\n}\n'
+    )
+    # U(2,4) has no regular representation, so over q there is no verdict at all
+    code, out, _ = run(["nbc", "check", "--input", path, "--field", "q"], capsys)
+    assert code == 2 and out == ""
+
+
 def test_timing_flag_adds_key(tmp_path, capsys):
     path = write_matroid(tmp_path, uniform(2, 3))
     code, out, _ = run(

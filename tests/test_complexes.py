@@ -119,6 +119,22 @@ def test_h_vector_does_not_depend_on_the_ordering(m):
         assert f_h_vectors(m, Ordering(labels)) == base, labels
 
 
+@pytest.mark.parametrize("m", (
+    *(named_matroid(name) for name in ("r10", "dualk33", "dualk33raw", "k33", "k4")),
+    uniform(2, 4),
+    from_circuits([{"a"}], ("a", "b")),
+), ids=("r10", "dualk33", "dualk33raw", "k33", "k4", "u24", "loop"))
+def test_facets_are_the_faces_of_full_size(m):
+    rng = random.Random(f"facets:{m.ground}")
+    for _ in range(5):
+        labels = list(m.ground)
+        rng.shuffle(labels)
+        o = Ordering(labels)
+        want = tuple(f for f in bc_faces(m, o) if len(f) == m.rank())
+        assert bc_facets(m, o) == want, labels
+    assert bool(bc_facets(m, m.ground)) == (m.loops() == ())
+
+
 def test_h_recursion_on_graphs():
     m = from_graph(TRIANGLE + (("c", "d"), ("d", "a")))
     for e in m.ground:

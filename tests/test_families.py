@@ -1,12 +1,15 @@
+import json
+
 import pytest
 
+from matroidlab.cli import main
 from matroidlab.engine import (
     count_standard_orderings,
     decomposition_check,
     nbc_check,
     standard_ordering,
 )
-from matroidlab.errors import BadParams, NoCocircuitPair, UnknownName
+from matroidlab.errors import BadParams, NoCocircuitPair, Overbudget, UnknownName
 from matroidlab.families import (
     describe_named,
     list_named,
@@ -15,8 +18,9 @@ from matroidlab.families import (
     theta_matroid,
 )
 from matroidlab.fields import GF2_FIELD, Q_FIELD
-from matroidlab.matroids import parallel_connection, uniform
+from matroidlab.matroids import from_matrix, parallel_connection, uniform
 from matroidlab.polynomials import Monomial
+from matroidlab.verify import _compositions
 
 DUAL_K33_L = {
     "1", "x1", "x2", "x3", "x4", "x5",
@@ -161,3 +165,27 @@ def test_dual_fixtures_related():
     # same matroid up to a column permutation
     assert sorted(len(c) for c in dk.circuits()) == sorted(len(c) for c in raw.circuits())
     assert len(dk.bases()) == len(raw.bases()) == 81
+
+
+@pytest.mark.parametrize("build", (theta_matroid, phi_matroid), ids=("theta", "phi"))
+def test_seeded_families_match_the_subset_scan(build):
+    """Every composition of criterion 5 (parts >= 2, at most 4, sum <= 12),
+    which holds the 274 of the glued-check benchmark: the circuits and rank
+    seeded from the parts against an unseeded copy of the same matrix."""
+    for sizes in _compositions():
+        m, std = build(sizes)
+        scan = from_matrix(m.backend.matrix, m.ground)
+        basis = frozenset(std.basis)
+        for e in std.cobasis:
+            assert m.fundamental_circuit(basis, e) == scan.fundamental_circuit(basis, e), sizes
+        assert "circuits" not in scan._cache
+        assert m.circuits() == scan.circuits(), sizes
+        assert m.rank() == scan.rank(), sizes
+
+
+@pytest.mark.parametrize("sizes", ((21,), (11, 11)))
+def test_seeding_keeps_the_enumeration_cap(sizes, capsys):
+    with pytest.raises(Overbudget):
+        theta_matroid(sizes)[0].circuits()
+    assert main(["gen", "theta", ",".join(map(str, sizes))]) == 0
+    assert json.loads(capsys.readouterr().out)["matroid"]["labels"][0] == "p"

@@ -14,6 +14,7 @@ from matroidlab.errors import (
     NotRegular,
     Overbudget,
 )
+from matroidlab.families import named_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
 from matroidlab.linalg import Matrix, gf2_matrix
 from matroidlab.matroids import (
@@ -277,3 +278,23 @@ def test_graph_circuits_equal_incidence_matrix_circuits():
         graphic = from_graph(edges)
         column = from_matrix(signed_incidence(edges))
         assert graphic.circuits() == column.circuits(), edges
+
+
+@pytest.mark.parametrize("name", ("r10", "dualk33", "k33", "k4", "u24"))
+def test_fundamental_circuits_from_the_circuit_cache(name):
+    build = (lambda: uniform(2, 4)) if name == "u24" else (lambda: named_matroid(name))
+    cached, oracle = build(), build()
+    cached.circuits()
+    for basis in oracle.bases():
+        for e in oracle.ground:
+            if e not in basis:
+                assert cached.fundamental_circuit(basis, e) == oracle.fundamental_circuit(basis, e)
+    assert "circuits" not in oracle._cache
+
+
+def test_seeded_parallel_connection_keeps_unknown_circuits_unknown():
+    left = from_matrix(uniform(2, 3, labels=("a1", "a2", "p")).representation_over(Q_FIELD))
+    right = from_matrix(uniform(1, 2, labels=("p", "b1")).representation_over(Q_FIELD))
+    glued = represented_parallel_connection(left, right, "p")
+    assert "circuits" not in glued._cache
+    assert glued.rank() == from_matrix(glued.backend.matrix, glued.ground).rank() == 2
