@@ -9,12 +9,9 @@ ints internally; the packing never leaks into the public contract.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import BadParams, BadRank, BadSize, Overbudget, SingularBasis
-from .fields import Field, GF2_FIELD, Q_FIELD, field_from_name
-
-TU_SUBMATRIX_BUDGET = 2_000_000
+from .errors import BadParams, BadRank, BadSize, SingularBasis
+from .fields import Field, GF2_FIELD, Q_FIELD
 
 
 class Matrix:
@@ -57,11 +54,8 @@ class Matrix:
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.entries == other.entries
-        )
+        same = isinstance(other, Matrix) and self.field == other.field
+        return same and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.field, self.entries))
@@ -69,43 +63,24 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field.name}, {self.nrows}x{self.ncols})"
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def column(self, j: int):
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.entries)) if self.entries else [])
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        rows = [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        return Matrix(self.field, rows)
-
     def select_columns(self, col_idx) -> "Matrix":
-        labels = None
-        if self.col_labels is not None:
-            labels = [self.col_labels[j] for j in col_idx]
-        return Matrix(
-            self.field,
-            [[r[j] for j in col_idx] for r in self.entries],
-            col_labels=labels,
-        )
+        labels = None if self.col_labels is None else [self.col_labels[j] for j in col_idx]
+        rows = [[r[j] for j in col_idx] for r in self.entries]
+        return Matrix(self.field, rows, col_labels=labels)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows or self.field != other.field:
             raise BadSize("matmul shape/field mismatch")
         F = self.field
         cols = list(zip(*other.entries)) if other.entries else []
-        out = []
-        for r in self.entries:
-            out.append(
-                [
-                    _dot(F, r, c)
-                    for c in cols
-                ]
-            )
-        return Matrix(self.field, out) if cols else Matrix.zero(F, self.nrows, other.ncols)
+        out = [[_dot(F, r, c) for c in cols] for r in self.entries]
+        return Matrix(F, out) if cols else Matrix.zero(F, self.nrows, other.ncols)
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -113,16 +88,7 @@ class Matrix:
 
     def map_to_field(self, field: Field) -> "Matrix":
         """Reinterpret integral entries in another field (e.g. TU matrix mod 2)."""
-        rows = []
-        for r in self.entries:
-            new = []
-            for x in r:
-                f = Fraction(x)
-                if f.denominator != 1:
-                    raise BadParams("entries must be integral to change field")
-                new.append(field.from_int(int(f)))
-            rows.append(new)
-        return Matrix(field, rows, self.col_labels, self.row_labels)
+        return Matrix.from_int_rows(field, _integer_entries(self), self.col_labels, self.row_labels)
 
     # -- elimination -------------------------------------------------------
 
@@ -139,151 +105,68 @@ class Matrix:
         """Reduced row echelon form, pivots left to right, zero rows dropped."""
         if self.nrows == 0:
             return self
-        if self.field.char == 2:
-            bits = _pack_gf2(self.entries)
-            piv = _gf2_eliminate(bits)
-            rows = [bits[i] for _, i in sorted(piv.items())]
-            return Matrix(self.field, _unpack_gf2(rows, self.ncols))
-        work = [list(r) for r in self.entries]
-        piv = _eliminate(self.field, work, range(self.ncols))
-        return Matrix(self.field, [work[i] for _, i in sorted(piv.items())])
+        return Matrix(self.field, _reduce(self.field, self.entries, self.ncols)[0])
 
     def standard_form(self, basis_cols) -> "Matrix":
         """Row-reduce so the given columns carry an identity block.
 
-        basis_cols are 0-based and processed ascending; within a column the
-        pivot is the first usable nonzero row from the top.  Output rows are
-        ordered so row k has its 1 in the k-th smallest basis column.
-        Raises SingularBasis if the columns are dependent, BadRank if they
-        do not span the row space (leftover nonzero rows).
+        This is the RREF of the matrix with the basis columns (0-based,
+        ascending) moved first, put back in column order, so it is unique:
+        row k has its 1 in the k-th smallest basis column.  Raises
+        SingularBasis if the columns are dependent, BadRank if they do not
+        span the row space (leftover nonzero rows).
         """
         cols = sorted(set(basis_cols))
         if len(cols) != len(tuple(basis_cols)):
             raise BadParams("duplicate basis columns")
         if any(c < 0 or c >= self.ncols for c in cols):
             raise BadParams("basis column out of range")
-        if self.field.char == 2:
-            return self._standard_form_gf2(cols)
-        F = self.field
-        z = F.zero()
-        work = [list(r) for r in self.entries]
-        used = set()
-        pivot_row = {}
-        for c in cols:
-            pr = next((i for i in range(self.nrows) if i not in used and work[i][c] != z), None)
-            if pr is None:
-                raise SingularBasis(f"basis columns dependent at column {c}")
-            inv = F.inv(work[pr][c])
-            if inv != F.one():
-                work[pr] = [F.mul(inv, x) for x in work[pr]]
-            for i in range(self.nrows):
-                if i != pr and work[i][c] != z:
-                    f = work[i][c]
-                    work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[pr])]
-            used.add(pr)
-            pivot_row[c] = pr
-        for i in range(self.nrows):
-            if i not in used and any(x != z for x in work[i]):
-                raise BadRank("basis columns do not span the row space")
-        return Matrix(F, [work[pivot_row[c]] for c in cols], col_labels=self.col_labels)
-
-    def _standard_form_gf2(self, cols) -> "Matrix":
-        bits = _pack_gf2(self.entries)
-        used = set()
-        pivot_row = {}
-        for c in cols:
-            mask = 1 << c
-            pr = next((i for i in range(len(bits)) if i not in used and bits[i] & mask), None)
-            if pr is None:
-                raise SingularBasis(f"basis columns dependent at column {c}")
-            for i in range(len(bits)):
-                if i != pr and bits[i] & mask:
-                    bits[i] ^= bits[pr]
-            used.add(pr)
-            pivot_row[c] = pr
-        if any(bits[i] for i in range(len(bits)) if i not in used):
+        k = len(cols)
+        order = cols + sorted(set(range(self.ncols)) - set(cols))
+        permuted = [[r[j] for j in order] for r in self.entries]
+        rows, pivots = _reduce(self.field, permuted, self.ncols)
+        if pivots[:k] != list(range(k)):
+            t = next(t for t in range(k) if t >= len(pivots) or pivots[t] != t)
+            raise SingularBasis(f"basis columns dependent at column {cols[t]}")
+        if len(pivots) > k:
             raise BadRank("basis columns do not span the row space")
-        rows = [bits[pivot_row[c]] for c in cols]
-        return Matrix(self.field, _unpack_gf2(rows, self.ncols), col_labels=self.col_labels)
+        back = sorted(range(self.ncols), key=order.__getitem__)
+        return Matrix(self.field, [[r[t] for t in back] for r in rows], col_labels=self.col_labels)
 
     def null_space_basis(self) -> "Matrix":
         """One row per free column of the RREF; entry at the free column is 1."""
         F = self.field
-        R = self.rref()
-        pivots = []
-        seen = set()
         z = F.zero()
-        for r in R.entries:
-            for j in range(self.ncols):
-                if r[j] != z:
-                    pivots.append(j)
-                    seen.add(j)
-                    break
-        free = [j for j in range(self.ncols) if j not in seen]
-        rows = []
+        rows, pivots = _reduce(F, self.entries, self.ncols)
+        free = sorted(set(range(self.ncols)) - set(pivots))
+        out = []
         for f in free:
             v = [z] * self.ncols
             v[f] = F.one()
-            for i, p in enumerate(pivots):
-                v[p] = F.neg(R.entries[i][f])
-            rows.append(v)
-        return Matrix(F, rows) if rows else Matrix.zero(F, 0, self.ncols)
+            for r, p in zip(rows, pivots):
+                v[p] = F.neg(r[f])
+            out.append(v)
+        return Matrix(F, out) if out else Matrix.zero(F, 0, self.ncols)
 
     # -- total unimodularity ----------------------------------------------
 
-    def is_totally_unimodular(self, max_order: int | None = None,
-                              budget: int = TU_SUBMATRIX_BUDGET) -> bool:
-        """Brute-force check that every minor up to max_order is -1, 0 or +1.
+    def is_totally_unimodular(self) -> bool:
+        """True when every square submatrix has determinant -1, 0 or +1.
 
-        Entries must already be in {-1, 0, 1}.  Raises Overbudget when the
-        number of square submatrices to inspect exceeds the budget.
+        Entries must already be in {-1, 0, 1}.  Decided by the regularity
+        certificate matroids.is_unimodular_standard_form on [I | self],
+        which is totally unimodular exactly when self is; it enumerates
+        column subsets, so [I | self] with more than ENUMERATION_CAP columns
+        raises Overbudget.
         """
+        from .matroids import is_unimodular_standard_form  # matroids imports linalg
+
         ints = _integer_entries(self)
         if any(x not in (-1, 0, 1) for r in ints for x in r):
             raise BadParams("entries must be in {-1, 0, 1}")
-        m, n = self.nrows, self.ncols
-        if max_order is None:
-            max_order = min(m, n)
-        max_order = min(max_order, m, n)
-        total = sum(_comb(m, k) * _comb(n, k) for k in range(2, max_order + 1))
-        if total > budget:
-            raise Overbudget(f"{total} submatrices exceeds budget {budget}")
-        for k in range(2, max_order + 1):
-            for rset in combinations(range(m), k):
-                rrows = [ints[i] for i in rset]
-                for cset in combinations(range(n), k):
-                    if _int_det([[row[j] for j in cset] for row in rrows]) not in (-1, 0, 1):
-                        return False
-        return True
-
-    # -- text format -------------------------------------------------------
-
-    def to_text(self) -> str:
-        F = self.field
-        lines = [f"{self.nrows} {self.ncols} {F.name}"]
-        for r in self.entries:
-            lines.append(" ".join(F.show(x) for x in r))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Matrix":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise BadParams("empty matrix text")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise BadParams("header must be 'rows cols field'")
-        nrows, ncols = int(head[0]), int(head[1])
-        F = field_from_name(head[2])
-        if len(lines) != nrows + 1:
-            raise BadParams(f"expected {nrows} rows, got {len(lines) - 1}")
-        rows = []
-        for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) != ncols:
-                raise BadParams(f"expected {ncols} entries per row")
-            rows.append([F.parse(t) for t in toks])
-        return cls(F, rows)
+        m = self.nrows
+        ext = [[int(i == k) for k in range(m)] + r for i, r in enumerate(ints)]
+        return is_unimodular_standard_form(Matrix.from_int_rows(Q_FIELD, ext), range(m))
 
 
 def _dot(F: Field, a, b):
@@ -293,55 +176,28 @@ def _dot(F: Field, a, b):
     return acc
 
 
-def _comb(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
-
-
 def _integer_entries(m: Matrix):
-    out = []
-    for r in m.entries:
-        row = []
-        for x in r:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise BadParams("entries must be integral")
-            row.append(int(f))
-        out.append(row)
-    return out
+    fracs = [[Fraction(x) for x in r] for r in m.entries]
+    if any(f.denominator != 1 for r in fracs for f in r):
+        raise BadParams("entries must be integral")
+    return [[int(f) for f in r] for r in fracs]
 
 
-def _int_det(mat) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _reduce(F: Field, entries, ncols) -> tuple:
+    """RREF of the rows, left intact: (nonzero rows, their pivot columns), pivots ascending."""
+    if F.char == 2:
+        bits = _pack_gf2(entries)
+        order = sorted(_gf2_eliminate(bits).items())
+        return _unpack_gf2([bits[i] for _, i in order], ncols), [c for c, _ in order]
+    work = [list(r) for r in entries]
+    order = sorted(_eliminate(F, work, range(ncols)).items())
+    return [work[i] for _, i in order], [c for c, _ in order]
 
 
 def _eliminate(F: Field, work, col_order) -> dict:
     """In-place Gauss-Jordan over an arbitrary field; returns {pivot_col: row}."""
-    z = F.zero()
-    one = F.one()
-    pivots = {}
-    used = set()
+    z, one = F.zero(), F.one()
+    pivots, used = {}, set()
     nrows = len(work)
     for c in col_order:
         pr = next((i for i in range(nrows) if i not in used and work[i][c] != z), None)
@@ -385,11 +241,10 @@ def _gf2_eliminate(bits) -> dict:
         for c, r in pivots.items():
             if row & (1 << c):
                 row ^= bits[r]
+        bits[i] = row
         if row == 0:
-            bits[i] = 0
             continue
         c = (row & -row).bit_length() - 1
-        bits[i] = row
         for r2 in pivots.values():
             if bits[r2] & (1 << c):
                 bits[r2] ^= row
@@ -456,61 +311,126 @@ class RowSpace:
         return False
 
 
-# -- regular signing search --------------------------------------------------
+# -- Camion's signing ----------------------------------------------------------
 
 
-def tu_signing(m: Matrix, budget: int = TU_SUBMATRIX_BUDGET) -> Matrix:
-    """Find a totally unimodular resigning of a 0/1 support matrix.
+def tu_signing(m: Matrix) -> Matrix:
+    """Camion's signing of a 0/1 matrix, as a rational matrix.
 
-    Works column by column: the first nonzero of each column is fixed to +1
-    (column scaling), the rest are decided by depth-first search pruned by
-    checking every new square submatrix through the fresh column.  Returns a
-    rational matrix with the same support, or raises BadParams when no TU
-    signing exists (the support is not that of a regular matroid).
+    In the bipartite graph of the support (rows and columns as nodes, one
+    edge per nonzero) the edges of a spanning forest get +1.  Then, over
+    and over, the unsigned edge whose endpoints are closest in the signed
+    subgraph is signed: a shortest path there closes a cycle with it that
+    is chordless in the whole graph (a chord would be a signed edge that
+    shortens the path, or an unsigned edge closer than this one), and the
+    sign makes that cycle's entries sum to 0 mod 4.  A 0/1 matrix has at
+    most one totally unimodular signing up to +-1 scaling of rows and
+    columns, and when it has one, this is it (P. Camion, Proc. AMS 16,
+    1965).  The signing is not checked: a support with no TU signing (the
+    Fano plane's) gets one that is not TU.
+
+    The forest fixes the scaling.  It is grown column by column, first the
+    column's top entry, then its other entries from the bottom row up,
+    each kept when it joins two trees.  So the first nonzero of every
+    column is +1 and every later entry is +1 when the earlier ones allow
+    it: of all TU signings normalised that way, this is the least, with
+    entries compared column by column from the bottom row up and +1 before
+    -1.
     """
     ints = _integer_entries(m)
     if any(x not in (0, 1) for r in ints for x in r):
         raise BadParams("tu_signing expects a 0/1 matrix")
     nrows, ncols = m.nrows, m.ncols
-    supports = [[i for i in range(nrows) if ints[i][j]] for j in range(ncols)]
-    cols: list[list[int]] = []
+    adj: list = [[] for _ in range(nrows + ncols)]  # row i is node i, column j node nrows + j
+    signs: dict = {}
 
-    # square submatrices through column j, smallest order first
-    def new_col_ok(colvec) -> bool:
-        j = len(cols)
-        for k in range(2, min(nrows, j + 1) + 1):
-            for rset in combinations(range(nrows), k):
-                if all(colvec[i] == 0 for i in rset):
-                    continue
-                last = [colvec[i] for i in rset]
-                for cset in combinations(range(j), k - 1):
-                    sub = [[cols[c][i] for c in cset] + [last[t]] for t, i in enumerate(rset)]
-                    if _int_det(sub) not in (-1, 0, 1):
-                        return False
+    def link(i, j, s):
+        signs[i, j] = s
+        adj[i].append(nrows + j)
+        adj[nrows + j].append(i)
+
+    forest, rest = _ParityForest(nrows + ncols), []
+    for j in range(ncols):
+        col = [i for i in range(nrows) if ints[i][j]]
+        for i in col[:1] + col[:0:-1]:
+            if forest.join(i, nrows + j):
+                link(i, j, 1)
+            else:
+                rest.append((i, j))
+    while rest:
+        best = None
+        for i in sorted({i for i, _ in rest}):
+            tree = _bfs(adj, i)
+            for e in rest:
+                if e[0] == i and (best is None or tree[nrows + e[1]][0] < best[0]):
+                    best = (tree[nrows + e[1]][0], e, tree)
+        length, (i, j), tree = best
+        negative, node = 0, nrows + j
+        while node != i:
+            prev = tree[node][1]
+            negative += signs[(prev, node - nrows) if prev < nrows else (node, prev - nrows)] < 0
+            node = prev
+        # 2k entries +-1 sum to 0 mod 4 iff the number of -1s has the parity of k
+        link(i, j, -1 if negative % 2 != (length + 1) // 2 % 2 else 1)
+        rest.remove((i, j))
+    rows = [[signs.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    return Matrix.from_int_rows(Q_FIELD, rows, col_labels=m.col_labels)
+
+
+def _bfs(adj, start) -> dict:
+    """{node: (distance, previous node)} over the nodes reachable from start."""
+    tree = {start: (0, None)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in tree:
+                    tree[v] = (tree[u][0] + 1, u)
+                    nxt.append(v)
+        frontier = nxt
+    return tree
+
+
+class _ParityForest:
+    """Union-find whose nodes carry a parity relative to their tree's root."""
+
+    def __init__(self, n: int):
+        self.parent, self.parity = list(range(n)), [0] * n
+
+    def find(self, x) -> tuple:
+        p = 0
+        while self.parent[x] != x:
+            p ^= self.parity[x]
+            x = self.parent[x]
+        return x, p
+
+    def join(self, a, b, odd: int = 0) -> bool:
+        """Join the trees of a and b with parity(a) ^ parity(b) == odd;
+        False, changing nothing, when they share a tree."""
+        (ra, pa), (rb, pb) = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra], self.parity[ra] = rb, pa ^ pb ^ odd
         return True
 
-    def assign(j: int) -> bool:
-        if j == ncols:
-            return True
-        sup = supports[j]
-        free = sup[1:]
-        for pattern in range(1 << len(free)):
-            colvec = [0] * nrows
-            if sup:
-                colvec[sup[0]] = 1
-            for t, i in enumerate(free):
-                colvec[i] = -1 if (pattern >> t) & 1 else 1
-            if new_col_ok(colvec):
-                cols.append(colvec)
-                if assign(j + 1):
-                    return True
-                cols.pop()
-        return False
 
-    if not assign(0):
-        raise BadParams("support admits no totally unimodular signing")
-    rows = [[Fraction(cols[j][i]) for j in range(ncols)] for i in range(nrows)]
-    return Matrix(Q_FIELD, rows, col_labels=m.col_labels)
+def is_sign_rescaling(a: Matrix, b: Matrix) -> bool:
+    """True when a = D b E for diagonal matrices D, E with entries +-1."""
+    if a.nrows != b.nrows or a.ncols != b.ncols:
+        return False
+    n = a.nrows
+    forest = _ParityForest(n + a.ncols)
+    for i, (ra, rb) in enumerate(zip(a.entries, b.entries)):
+        for j, (x, y) in enumerate(zip(ra, rb)):
+            if not x and not y:
+                continue
+            if x not in (1, -1) or y not in (1, -1):
+                return False
+            odd = x != y
+            if not forest.join(i, n + j, odd) and forest.find(i)[1] ^ forest.find(n + j)[1] != odd:
+                return False
+    return True
 
 
 def gf2_matrix(rows, col_labels=None) -> Matrix:

@@ -22,9 +22,10 @@ from .errors import (
     NotCobasisElement,
     NotRegular,
     Overbudget,
+    SingularBasis,
 )
 from .fields import Field, GF2_FIELD, Q_FIELD, field_from_name
-from .linalg import Matrix, tu_signing
+from .linalg import Matrix, _eliminate, is_sign_rescaling, tu_signing
 
 ENUMERATION_CAP = 20
 # 2^61 - 1, a Mersenne prime: the modulus of the column backend's rank test over Q
@@ -210,14 +211,19 @@ class Matroid:
             elems = [e for e in self.ground if e in keep]
         if subset is None and "rank" in self._cache:
             return self._cache["rank"]
+        r = len(self._greedy_basis(elems))
+        if subset is None:
+            self._cache["rank"] = r
+        return r
+
+    def _greedy_basis(self, elems) -> list:
+        """Each element in turn, kept when it is independent of those kept."""
         picked = []
         for e in elems:
             picked.append(e)
             if not self.is_independent(picked):
                 picked.pop()
-        if subset is None:
-            self._cache["rank"] = len(picked)
-        return len(picked)
+        return picked
 
     def corank(self, subset) -> int:
         """Rank in the dual: |S| - r(M) + r(E - S)."""
@@ -359,16 +365,11 @@ class Matroid:
     def dual(self) -> "Matroid":
         if isinstance(self.backend, _UniformBackend):
             return uniform(len(self.ground) - self.backend.r, len(self.ground), self.ground)
-        if isinstance(self.backend, _ColumnBackend):
-            ns = self.backend.matrix.null_space_basis()
-            if ns.nrows == 0:
-                ns = Matrix.zero(self.backend.matrix.field, 1, len(self.ground))
-            return from_matrix(ns, self.ground)
-        if isinstance(self.backend, _GraphicBackend):
-            inc = self.representation_over(GF2_FIELD)
-            ns = inc.null_space_basis()
-            if ns.nrows == 0:
-                ns = Matrix.zero(GF2_FIELD, 1, len(self.ground))
+        if isinstance(self.backend, (_ColumnBackend, _GraphicBackend)):
+            isgraph = isinstance(self.backend, _GraphicBackend)
+            rep = self.representation_over(GF2_FIELD) if isgraph else self.backend.matrix
+            ns = rep.null_space_basis()
+            ns = ns if ns.nrows else Matrix.zero(rep.field, 1, len(self.ground))
             return from_matrix(ns, self.ground)
         return from_circuits(self.cocircuits(), self.ground)
 
@@ -411,10 +412,7 @@ class Matroid:
             u, v = be.edge_of[e]
             sub = lambda w: u if w == v else w
             return from_graph([(sub(a), sub(b)) for a, b in (be.edge_of[x] for x in keep)], keep)
-        cands = []
-        for c in self.circuits():
-            cands.append(c - {e})
-        cands = [c for c in cands if c]
+        cands = [c - {e} for c in self.circuits() if c != {e}]
         minimal = [c for c in set(cands) if not any(d < c for d in cands)]
         return from_circuits(minimal, keep)
 
@@ -470,53 +468,57 @@ class Matroid:
             src = be.matrix
             if src.field.name == field.name:
                 return Matrix(src.field, src.entries, col_labels=self.ground)
-            if src.field.char == 2:
-                # binary source: a TU signing of the support represents the
-                # same matroid over every field
+            if src.field.char in (0, 2):
+                # a TU representation represents M over every field
                 signed = self._signed_from_binaryish(src)
                 return signed if field.char == 0 else signed.map_to_field(field)
-            if src.field.char == 0:
-                signed = self._signed_from_binaryish(src)
-                return signed if field.char == 0 else signed.map_to_field(field)
-            raise NotRegular(
-                f"cannot convert a {src.field.name} representation to {field.name}"
-            )
+            raise NotRegular(f"cannot convert a {src.field.name} representation to {field.name}")
         if isinstance(be, _GraphicBackend):
             inc = _signed_incidence(be, self.ground)
             return inc if field.char == 0 else inc.map_to_field(field)
         if isinstance(be, _UniformBackend):
             mat = _uniform_representation(be.r, len(self.ground), field)
             if mat is None:
-                raise NotRegular(
-                    f"U({be.r},{len(self.ground)}) has no regular/binary representation"
-                )
+                n = len(self.ground)
+                raise NotRegular(f"U({be.r},{n}) has no regular/binary representation")
             return Matrix(mat.field, mat.entries, col_labels=self.ground)
         raise NotRegular(f"no representation backend for {be.kind} matroid")
 
     def _signed_from_binaryish(self, src: Matrix) -> Matrix:
-        """Totally unimodular signing with the same column matroid as src.
+        """A totally unimodular standard form over Q whose column matroid is M.
 
-        A rational source that is already TU is used directly.  Otherwise the
-        0/1 support is resigned; for binary sources the theory guarantees the
-        resigning represents the same matroid, for rational ones we verify
-        basis-by-basis before accepting.
+        The candidates, in turn: (a) a rational source that is a +-1
+        rescaling of (b); (b) tu_signing of the source's support; (c)
+        tu_signing of the support of the source's standard form on B, M's
+        greedy first basis.  One is accepted when its standard form on B
+        passes is_unimodular_standard_form against the source's: then it is
+        TU and represents M.  (a) and (b) keep the row space of a TU source,
+        or of a support whose signing represents M.  (c) passes whenever M
+        is regular: M is then binary, so that support, its fundamental-
+        cocircuit incidence on B, represents it over GF(2) (binary matroids
+        are uniquely representable, Brylawski-Lucas 1976), and the standard
+        form on B of a TU representation is a TU signing of it, which
+        Camion's signing finds.  So NotRegular means that M is not regular.
         """
-        if src.field.char == 0:
+        basis = [self.position[e] for e in self._greedy_basis(self.ground)]
+        ref = src.standard_form(basis)
+        signed = tu_signing(_support(src))
+
+        def candidates():
+            if src.field.char == 0 and is_sign_rescaling(src, signed):
+                yield src
+            yield signed
+            yield tu_signing(_support(ref))
+
+        for cand in candidates():
             try:
-                if src.is_totally_unimodular():
-                    return Matrix(Q_FIELD, src.entries, col_labels=self.ground)
-            except BadParams:
-                pass
-        support = Matrix.from_int_rows(
-            Q_FIELD, [[1 if x else 0 for x in r] for r in src.entries]
-        )
-        try:
-            signed = tu_signing(support)
-        except BadParams as exc:
-            raise NotRegular(str(exc)) from exc
-        if src.field.char == 0 and not _same_column_matroid(src, signed):
-            raise NotRegular("rational representation is not equivalent to a regular one")
-        return Matrix(Q_FIELD, signed.entries, col_labels=self.ground)
+                sf = cand.standard_form(basis)
+            except (SingularBasis, BadRank):
+                continue
+            if is_unimodular_standard_form(sf, basis, ref):
+                rows = sf.entries or [[Fraction(0)] * len(self.ground)]
+                return Matrix(Q_FIELD, rows, col_labels=self.ground)
+        raise NotRegular("no totally unimodular representation: the matroid is not regular")
 
     # -- serialization ------------------------------------------------------------
 
@@ -525,13 +527,7 @@ class Matroid:
         labels = list(self.ground)
         if isinstance(be, _ColumnBackend):
             F = be.matrix.field
-            rows = []
-            for r in be.matrix.entries:
-                out = []
-                for x in r:
-                    s = F.show(x)
-                    out.append(s if "/" in s else int(s))
-                rows.append(out)
+            rows = [[s if "/" in s else int(s) for s in map(F.show, r)] for r in be.matrix.entries]
             return {"type": "column", "labels": labels, "field": F.name, "matrix": rows}
         if isinstance(be, _GraphicBackend):
             return {
@@ -704,21 +700,10 @@ def represented_parallel_connection(m: Matroid, n: Matroid, p: str) -> Matroid:
 
 def _basepoint_first(mat: Matrix, col: int) -> Matrix:
     """Row-reduce so the given column is the first unit vector, dropping zero rows."""
-    F = mat.field
-    z = F.zero()
-    work = [list(r) for r in mat.entries]
-    pr = next((i for i, r in enumerate(work) if r[col] != z), None)
-    if pr is None:
-        raise DegenerateElement("basepoint column is zero")
-    inv = F.inv(work[pr][col])
-    if inv != F.one():
-        work[pr] = [F.mul(inv, x) for x in work[pr]]
-    for i in range(len(work)):
-        if i != pr and work[i][col] != z:
-            f = work[i][col]
-            work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[pr])]
-    ordered = [work[pr]] + [r for i, r in enumerate(work) if i != pr and any(x != z for x in r)]
-    return Matrix(F, ordered)
+    work, pr = _pivot(mat, col, "basepoint column is zero")
+    z = mat.field.zero()
+    rest = [r for i, r in enumerate(work) if i != pr and any(x != z for x in r)]
+    return Matrix(mat.field, [work[pr]] + rest)
 
 
 def cocircuits_via_transversals(m: Matroid, cap: int | None = None) -> tuple:
@@ -736,79 +721,75 @@ def cocircuits_via_transversals(m: Matroid, cap: int | None = None) -> tuple:
     return tuple(sorted(found, key=m._circuit_key))
 
 
-def circuit_axioms_ok(circuits) -> bool:
-    """(i) nonempty, (ii) antichain, (iii) elimination axiom."""
-    circs = [frozenset(c) for c in circuits]
-    if any(not c for c in circs):
-        return False
-    for a, b in combinations(circs, 2):
-        if a <= b or b <= a:
-            return False
-    for a, b in combinations(circs, 2):
-        for e in a & b:
-            u = (a | b) - {e}
-            if not any(c <= u for c in circs):
-                return False
-    return True
-
-
-def _same_column_matroid(a: Matrix, b: Matrix) -> bool:
-    """Same independent column subsets (desk-scale exhaustive sweep)."""
-    if a.ncols != b.ncols:
-        return False
-    n = a.ncols
-    if n > ENUMERATION_CAP:
-        raise Overbudget(f"{n} columns exceeds cap {ENUMERATION_CAP}")
-    r = a.rank()
-    if b.rank() != r:
-        return False
-    for k in range(1, r + 1):
-        for cols in combinations(range(n), k):
-            if (a.select_columns(cols).rank() == k) != (b.select_columns(cols).rank() == k):
-                return False
-    return True
-
-
 def _contract_column(mat: Matrix, col: int) -> Matrix:
     """Pivot on the column, then drop its row and column."""
-    F = mat.field
-    z = F.zero()
+    work, pr = _pivot(mat, col, "contracting a loop column")
+    rows = [r[:col] + r[col + 1:] for i, r in enumerate(work) if i != pr]
+    return Matrix(mat.field, rows or [[mat.field.zero()] * (mat.ncols - 1)])
+
+
+def _pivot(mat: Matrix, col: int, what: str) -> tuple:
+    """(rows, pivot row): one Gauss-Jordan step on the first row with a
+    nonzero in the column, scaled to 1 there; DegenerateElement(what) when
+    the column is zero."""
     work = [list(r) for r in mat.entries]
-    pr = next((i for i, r in enumerate(work) if r[col] != z), None)
+    pr = _eliminate(mat.field, work, [col]).get(col)
     if pr is None:
-        raise DegenerateElement("contracting a loop column")
-    inv = F.inv(work[pr][col])
-    if inv != F.one():
-        work[pr] = [F.mul(inv, x) for x in work[pr]]
-    for i in range(len(work)):
-        if i != pr and work[i][col] != z:
-            f = work[i][col]
-            work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[pr])]
-    rows = [
-        [x for j, x in enumerate(r) if j != col]
-        for i, r in enumerate(work)
-        if i != pr
-    ]
-    if not rows:
-        rows = [[z] * (mat.ncols - 1)]
-    return Matrix(F, rows)
+        raise DegenerateElement(what)
+    return work, pr
+
+
+def _support(mat: Matrix) -> Matrix:
+    return Matrix.from_int_rows(Q_FIELD, [[1 if x else 0 for x in r] for r in mat.entries])
+
+
+def is_unimodular_standard_form(sf: Matrix, basis, ref: Matrix | None = None) -> bool:
+    """True when sf = [I | T] over Q, in standard form on the columns
+    `basis`, is totally unimodular and, if ref (a standard form on the same
+    basis, over any field) is given, has ref's column matroid.
+
+    The test: entries in {0, +-1}, and sf over Q, sf mod 2 and ref have the
+    same bases.  A standard form's maximal minor on the columns
+    (basis - R) + C is +-det of its submatrix on rows R and columns C.  A
+    square {0, +-1} matrix that is not TU while its proper submatrices are
+    has determinant +-2 (Camion 1965), so if T is not TU, some such minor
+    is nonzero over Q and zero mod 2; if T is TU, each is 0 or +-1, nonzero
+    iff odd.  Mod RESIDUE_PRIME the test over Q is exact: a k x k
+    {0, +-1} matrix has |det| <= k^(k/2) < RESIDUE_PRIME for k <= 20.
+    """
+    if sf.ncols > ENUMERATION_CAP:
+        raise Overbudget(f"{sf.ncols} columns exceed cap {ENUMERATION_CAP}")
+    if any(x not in (-1, 0, 1) for r in sf.entries for x in r):
+        return False
+    basis = sorted(basis)
+    rest = sorted(set(range(sf.ncols)) - set(basis))
+    T = [[int(row[j]) % RESIDUE_PRIME for j in rest] for row in sf.entries]
+    if ref is not None and ref.field.char == 2:
+        # a binary standard form is the fundamental-cocircuit incidence of
+        # its matroid on the basis, so equal matroids mean equal matrices
+        if [[x % 2 for x in r] for r in sf.entries] != [list(r) for r in ref.entries]:
+            return False
+        ref = None
+    A = ref and [[row[j] for j in rest] for row in ref.entries]
+    for k in range(min(len(basis), len(rest)) + 1):
+        for R in combinations(range(len(basis)), k):
+            for C in combinations(range(len(rest)), k):
+                cols = [[T[i][c] for i in R] for c in C]
+                # an odd determinant is nonzero: only an even one can differ over Q
+                odd = _independent_mod([[1 if x else 0 for x in col] for col in cols], 2)
+                if not odd and _independent_mod(cols, RESIDUE_PRIME):
+                    return False
+                if A and (Matrix(ref.field, [[A[i][c] for c in C] for i in R]).rank() == k) != odd:
+                    return False
+    return True
 
 
 def _signed_incidence(be: _GraphicBackend, ground) -> Matrix:
+    """+1 at an edge's tail, -1 at its head; a loop's column is zero."""
     verts = sorted({w for u, v in be.edges for w in (u, v)})
-    vidx = {v: i for i, v in enumerate(verts)}
-    cols = []
-    for e in ground:
-        u, v = be.edge_of[e]
-        col = [Fraction(0)] * len(verts)
-        if u != v:
-            col[vidx[u]] = Fraction(1)
-            col[vidx[v]] = Fraction(-1)
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(len(ground))] for i in range(len(verts))]
-    if not rows:
-        rows = [[Fraction(0)] * len(ground)]
-    return Matrix(Q_FIELD, rows, col_labels=ground)
+    ends = [be.edge_of[e] for e in ground]
+    rows = [[Fraction((u == w) - (v == w)) for u, v in ends] for w in verts]
+    return Matrix(Q_FIELD, rows or [[Fraction(0)] * len(ground)], col_labels=ground)
 
 
 def _uniform_representation(r: int, n: int, field: Field):
@@ -819,10 +800,7 @@ def _uniform_representation(r: int, n: int, field: Field):
     if r == 1:
         return Matrix(field, [[field.one()] * n])
     if r == n - 1:
-        rows = []
-        for i in range(n - 1):
-            row = [field.one() if j == i else field.zero() for j in range(n - 1)]
-            row.append(field.one())
-            rows.append(row)
+        o, z = field.one(), field.zero()
+        rows = [[o if j == i else z for j in range(n - 1)] + [o] for i in range(n - 1)]
         return Matrix(field, rows)
     return None

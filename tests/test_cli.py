@@ -49,6 +49,23 @@ def test_gen_theta_pipes_into_check(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "basis"
 
 
+def test_regular_binary_matroid_is_searched_over_q(tmp_path, capsys):
+    # a parallel pair plus three coloops: regular, though the support of the
+    # raw rows admits no totally unimodular signing
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "type": "column", "labels": ["a", "b", "c", "d", "e"], "field": "gf2",
+        "matrix": [[0, 1, 1, 1, 1], [0, 0, 0, 0, 1], [1, 1, 1, 1, 0], [1, 1, 0, 1, 1]],
+    }))
+    tallies = {}
+    for field in ("gf2", "q"):
+        argv = ["nbc", "search", "--policy", "first-hit", "--field", field, "--input", str(path)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0, field
+        tallies[field] = json.loads(out)["tallies"]
+    assert tallies["q"] == tallies["gf2"]
+
+
 def test_hvector_exact_keys(tmp_path, capsys):
     path = write_matroid(tmp_path, uniform(4, 5))
     code, out, _ = run(["hvector", "--input", path], capsys)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from matroidlab import engine
+from matroidlab import engine, matroids
 from matroidlab.engine import (
     candidate_monomials,
     count_standard_orderings,
@@ -247,11 +247,13 @@ def test_search_reports_do_not_depend_on_workers(name, field, policy, shard):
 
 def test_gf2_check_needs_no_tu_test(monkeypatch):
     # over gf2 the linear system of a rational column matroid is read off
-    # the independence oracle, so the brute-force TU test is never reached
+    # the independence oracle, so neither the TU test nor the signing that
+    # a representation over another field needs is reached
     def refuse(*args, **kwargs):
-        raise AssertionError("is_totally_unimodular called")
+        raise AssertionError("TU test or signing called")
 
     monkeypatch.setattr(Matrix, "is_totally_unimodular", refuse)
+    monkeypatch.setattr(matroids, "tu_signing", refuse)
     m, std = theta_matroid((3, 4))
     rep = nbc_check(m, std, GF2_FIELD, method="both")
     assert rep.is_basis

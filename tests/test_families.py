@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from matroidlab.families import (
     phi_matroid,
     theta_matroid,
 )
-from matroidlab.fields import GF2_FIELD, Q_FIELD
+from matroidlab.fields import GF2_FIELD, GFp, Q_FIELD
 from matroidlab.matroids import from_matrix, parallel_connection, uniform
 from matroidlab.polynomials import Monomial
 from matroidlab.verify import _compositions
@@ -105,6 +106,24 @@ def test_phi_orderings_give_bases(sizes, field):
     m, std = phi_matroid(sizes)
     rep = nbc_check(m, std, field)
     assert rep.is_basis, (rep.verdict, rep.reason)
+
+
+@pytest.mark.parametrize("build, sizes", (
+    (theta_matroid, (7, 7)), (theta_matroid, (5, 5, 5)), (theta_matroid, (6, 6, 6)),
+    (phi_matroid, (4, 4, 4)),
+))
+def test_gf3_verdict_equals_q_verdict(build, sizes):
+    # a rational glued instance over gf3 is certified on its standard form,
+    # not by a scan of the raw matrix's minors
+    verdicts = {}
+    for field in (Q_FIELD, GFp(3)):
+        m, std = build(sizes)
+        start = time.perf_counter()
+        rep = nbc_check(m, std, field)
+        if field.char == 3:
+            assert time.perf_counter() - start < 1.0
+        verdicts[field.name] = (rep.verdict, rep.reason)
+    assert verdicts["gf3"] == verdicts["q"]
 
 
 def test_family_decompositions():

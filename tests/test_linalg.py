@@ -80,8 +80,10 @@ def test_total_unimodularity():
     assert not bad.is_totally_unimodular()
     with pytest.raises(BadParams):
         Matrix.from_int_rows(Q_FIELD, [[2]]).is_totally_unimodular()
+    # the certificate enumerates column subsets of [I | X]: 10 + 11 columns
+    # exceed the enumeration cap
     with pytest.raises(Overbudget):
-        Matrix.zero(Q_FIELD, 10, 10).is_totally_unimodular(budget=3)
+        Matrix.zero(Q_FIELD, 10, 11).is_totally_unimodular()
 
 
 def test_tu_signing_roundtrip():
@@ -90,22 +92,38 @@ def test_tu_signing_roundtrip():
     assert signed.is_totally_unimodular()
     back = signed.map_to_field(GF2_FIELD)
     assert back == support
+    # the Fano plane is not regular: its support still gets a signing, which
+    # is not TU
     fano = gf2_matrix([
         [1, 0, 0, 1, 1, 0, 1],
         [0, 1, 0, 1, 0, 1, 1],
         [0, 0, 1, 0, 1, 1, 1],
     ])
+    signed = tu_signing(fano)
+    assert signed.map_to_field(GF2_FIELD) == fano
+    assert not signed.is_totally_unimodular()
     with pytest.raises(BadParams):
-        tu_signing(fano)
+        tu_signing(Matrix.from_int_rows(Q_FIELD, [[1, -1]]))
 
 
-def test_text_roundtrip():
-    m = Matrix.from_int_rows(Q_FIELD, [[1, -2], [0, 3]])
-    again = Matrix.from_text(m.to_text())
-    assert again == m
-    assert "q" in m.to_text().splitlines()[0]
-    with pytest.raises(BadParams):
-        Matrix.from_text("1 2\n1 0")
+def test_standard_form_is_the_rref_with_basis_first():
+    rng = random.Random(808)
+    for field in FIELDS:
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 4), rng.randint(2, 6)
+            m = Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(ncols)]
+                               for _ in range(nrows)])
+            r = m.rank()
+            cols = sorted(rng.sample(range(ncols), r))
+            if m.select_columns(cols).rank() < r:
+                continue
+            sf = m.standard_form(cols)
+            assert sf.rank() == r and sf.nrows == r
+            one, zero = field.one(), field.zero()
+            for k, c in enumerate(cols):
+                assert sf.column(c) == tuple(one if i == k else zero for i in range(r))
+            # same row space as m
+            assert Matrix(field, m.entries + sf.entries).rank() == r
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -19,7 +19,6 @@ from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
 from matroidlab.linalg import Matrix, gf2_matrix
 from matroidlab.matroids import (
     RESIDUE_PRIME as P,
-    circuit_axioms_ok,
     cocircuits_via_transversals,
     from_circuits,
     from_graph,
@@ -191,6 +190,22 @@ def test_represented_parallel_connection_agrees():
 def test_cocircuit_transversal_oracle():
     for m in (uniform(2, 4), from_graph(TRIANGLE + (("c", "d"),))):
         assert set(m.cocircuits()) == set(cocircuits_via_transversals(m))
+
+
+def circuit_axioms_ok(circuits) -> bool:
+    """(i) nonempty, (ii) antichain, (iii) elimination axiom."""
+    circs = [frozenset(c) for c in circuits]
+    if any(not c for c in circs):
+        return False
+    for a, b in combinations(circs, 2):
+        if a <= b or b <= a:
+            return False
+    for a, b in combinations(circs, 2):
+        for e in a & b:
+            u = (a | b) - {e}
+            if not any(c <= u for c in circs):
+                return False
+    return True
 
 
 def test_circuit_axioms():
