@@ -28,7 +28,7 @@ from math import factorial
 from operator import le
 from typing import NamedTuple
 
-from .complexes import HVector, Ordering, bc_facets, f_h_vectors
+from .complexes import HVector, Ordering, bc_facets, f_h_vectors, h_recursion_check
 from .errors import (
     BadParams, InfiniteLowerIdeal, LsopInvalid, NoCocircuitPair, NotStandardOrdering,
 )
@@ -547,15 +547,8 @@ def decomposition_check(matroid: Matroid, std: StandardOrdering) -> Decompositio
             if cf not in gens_c or gens[cf] != gens_c[cf] or mc[cf] != mc_c[cf]:
                 type2_ok = False
 
-    _, h = f_h_vectors(matroid, std.ordering)
-    _, hd = f_h_vectors(m_del, std_del.ordering)
-    _, hc = f_h_vectors(m_con, std_con.ordering)
-    h_ok = all(
-        h.entries[i]
-        == (hd.entries[i] if i < len(hd.entries) else 0)
-        + (hc.entries[i - 1] if 1 <= i <= len(hc.entries) else 0)
-        for i in range(len(h.entries))
-    )
+    # e_last is in the basis, so no loop, and in the cocircuit pair, so no coloop
+    h_ok = h_recursion_check(matroid, std.ordering, e_last).ok
     return DecompositionReport(
         (e_f, e_last), l_split_ok, delete_ok, contract_ok, type1_ok, type2_ok, h_ok
     )

@@ -1,4 +1,4 @@
-"""Exact coefficient fields: GF(2), GF(p) for small primes, and Q.
+"""Exact coefficient fields: GF(p) for primes p < 2^64, GF(2) among them, and Q.
 
 Field objects operate on plain Python values (ints for finite fields,
 Fraction for Q) so callers never box scalars.  All arithmetic is exact;
@@ -61,44 +61,39 @@ class Field:
         return hash(self.name)
 
 
-class GF2(Field):
-    name = "gf2"
-    char = 2
+# Miller-Rabin on these bases is exact for every n < 2^64, indeed below
+# 3.3 * 10^24 (Sorenson & Webster, Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    def zero(self):
-        return 0
 
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a ^ b
-
-    sub = add
-
-    def mul(self, a, b):
-        return a & b
-
-    def neg(self, a):
-        return a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in gf2")
-        return 1
-
-    def from_int(self, n):
-        return n & 1
-
-    def parse(self, token):
-        return int(token) % 2
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class GFp(Field):
     char: int
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= 1 << 64:
+            raise BadParams(f"gf{p}: modulus must be below 2^64")
+        if not _is_prime(p):
             raise BadParams(f"gf{p}: modulus must be prime")
         self.p = p
         self.char = p
@@ -125,7 +120,7 @@ class GFp(Field):
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in gf{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def from_int(self, n):
         return n % self.p
@@ -172,7 +167,7 @@ class Rational(Field):
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-GF2_FIELD = GF2()
+GF2_FIELD = GFp(2)
 Q_FIELD = Rational()
 
 
@@ -184,5 +179,7 @@ def field_from_name(name: str) -> Field:
     if token in ("q", "rational"):
         return Q_FIELD
     if token.startswith("gf") and token[2:].isdigit():
+        if len(token[2:].lstrip("0")) > 20:  # at least 10^20 > 2^64, and too long for int()
+            raise BadParams(f"{name}: modulus must be below 2^64")
         return GFp(int(token[2:]))
     raise BadParams(f"unknown field {name!r}")

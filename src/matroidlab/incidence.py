@@ -282,18 +282,6 @@ class RankReport(NamedTuple):
             and self.orthogonal
         )
 
-    def lines(self) -> list:
-        def mark(got, want):
-            return f"{got} (expected {want}) {'ok' if got == want else 'FAIL'}"
-
-        return [
-            f"fundamental circuit rank:  {mark(self.fundamental_circuit_rank, self.corank)}",
-            f"full circuit rank:         {mark(self.full_circuit_rank, self.corank)}",
-            f"fundamental cocircuit rank: {mark(self.fundamental_cocircuit_rank, self.rank)}",
-            f"full cocircuit rank:        {mark(self.full_cocircuit_rank, self.rank)}",
-            f"circuit-cocircuit orthogonality: {'ok' if self.orthogonal else 'FAIL'}",
-        ]
-
 
 def check_rank_identities(matroid: Matroid, ordering, field: Field) -> RankReport:
     """Ranks of all four incidence matrices plus pairwise orthogonality."""

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over GF(2), GF(p) and Q.
 
-Matrices are immutable.  Elimination order is deterministic everywhere
-(pivot columns ascending, first nonzero row from the top), so identical
-inputs produce byte-identical outputs.  GF(2) rows are packed into Python
-ints internally; the packing never leaks into the public contract.
+Matrices are immutable.  All elimination runs through RowSpace, whose
+rows are reduced in a fixed order, and the RREF of a row space is unique,
+so identical inputs produce byte-identical outputs.  GF(2) rows are packed
+into Python ints internally; the packing never leaks into the public
+contract.
 """
 
 from __future__ import annotations
@@ -93,19 +94,13 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rank(self) -> int:
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        if self.field.char == 2:
-            bits = _pack_gf2(self.entries)
-            return len(_gf2_eliminate(bits))
-        work = [list(r) for r in self.entries]
-        return len(_eliminate(self.field, work, range(self.ncols)))
+        return _span(self.field, self.entries, self.ncols).rank
 
     def rref(self) -> "Matrix":
         """Reduced row echelon form, pivots left to right, zero rows dropped."""
         if self.nrows == 0:
             return self
-        return Matrix(self.field, _reduce(self.field, self.entries, self.ncols)[0])
+        return Matrix(self.field, _span(self.field, self.entries, self.ncols).rref()[0])
 
     def standard_form(self, basis_cols) -> "Matrix":
         """Row-reduce so the given columns carry an identity block.
@@ -124,7 +119,7 @@ class Matrix:
         k = len(cols)
         order = cols + sorted(set(range(self.ncols)) - set(cols))
         permuted = [[r[j] for j in order] for r in self.entries]
-        rows, pivots = _reduce(self.field, permuted, self.ncols)
+        rows, pivots = _span(self.field, permuted, self.ncols).rref()
         if pivots[:k] != list(range(k)):
             t = next(t for t in range(k) if t >= len(pivots) or pivots[t] != t)
             raise SingularBasis(f"basis columns dependent at column {cols[t]}")
@@ -137,7 +132,7 @@ class Matrix:
         """One row per free column of the RREF; entry at the free column is 1."""
         F = self.field
         z = F.zero()
-        rows, pivots = _reduce(F, self.entries, self.ncols)
+        rows, pivots = _span(F, self.entries, self.ncols).rref()
         free = sorted(set(range(self.ncols)) - set(pivots))
         out = []
         for f in free:
@@ -183,92 +178,45 @@ def _integer_entries(m: Matrix):
     return [[int(f) for f in r] for r in fracs]
 
 
-def _reduce(F: Field, entries, ncols) -> tuple:
-    """RREF of the rows, left intact: (nonzero rows, their pivot columns), pivots ascending."""
-    if F.char == 2:
-        bits = _pack_gf2(entries)
-        order = sorted(_gf2_eliminate(bits).items())
-        return _unpack_gf2([bits[i] for _, i in order], ncols), [c for c, _ in order]
-    work = [list(r) for r in entries]
-    order = sorted(_eliminate(F, work, range(ncols)).items())
-    return [work[i] for _, i in order], [c for c, _ in order]
+def _span(F: Field, rows, ncols) -> "RowSpace":
+    space = RowSpace(F, ncols)
+    for r in rows:
+        space.add(r)
+    return space
 
 
-def _eliminate(F: Field, work, col_order) -> dict:
-    """In-place Gauss-Jordan over an arbitrary field; returns {pivot_col: row}."""
-    z, one = F.zero(), F.one()
-    pivots, used = {}, set()
-    nrows = len(work)
-    for c in col_order:
-        pr = next((i for i in range(nrows) if i not in used and work[i][c] != z), None)
-        if pr is None:
-            continue
-        inv = F.inv(work[pr][c])
-        if inv != one:
-            work[pr] = [F.mul(inv, x) for x in work[pr]]
-        for i in range(nrows):
-            if i != pr and work[i][c] != z:
-                f = work[i][c]
-                work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(work[i], work[pr])]
-        used.add(pr)
-        pivots[c] = pr
-    return pivots
-
-
-# -- GF(2) bit-packed kernels ----------------------------------------------
-
-
-def _pack_gf2(entries):
-    bits = []
-    for r in entries:
-        acc = 0
-        for j, x in enumerate(r):
-            if x:
-                acc |= 1 << j
-        bits.append(acc)
-    return bits
-
-
-def _unpack_gf2(bits, ncols):
-    return [[(b >> j) & 1 for j in range(ncols)] for b in bits]
-
-
-def _gf2_eliminate(bits) -> dict:
-    """In-place RREF on packed rows; returns {pivot_col: row_index}."""
-    pivots = {}
-    for i in range(len(bits)):
-        row = bits[i]
-        for c, r in pivots.items():
-            if row & (1 << c):
-                row ^= bits[r]
-        bits[i] = row
-        if row == 0:
-            continue
-        c = (row & -row).bit_length() - 1
-        for r2 in pivots.values():
-            if bits[r2] & (1 << c):
-                bits[r2] ^= row
-        pivots[c] = i
-    return pivots
+def _minus(p: int, a, f, b) -> list:
+    """a - f b for rows of native field values: residues mod p, or Fractions
+    when p is 0.  Entries where b is zero are kept as they are."""
+    if p:
+        return [(x - f * y) % p if y else x for x, y in zip(a, b)]
+    return [x - f * y if y else x for x, y in zip(a, b)]
 
 
 class RowSpace:
-    """Incrementally built row span with rank tracking.
+    """Incrementally built row span with rank tracking: the one elimination
+    kernel behind every rank, independence and RREF question.
 
-    add() reduces the new row against the pivot rows collected so far, so a
+    add() reduces the new row against the rows collected so far, so a
     sequence of adds costs one elimination pass per row instead of a fresh
-    Gaussian elimination per rank query.  Stored rows keep their leading
-    nonzero as the pivot; pivot columns are unique.
+    Gaussian elimination per rank query.  Each stored row has its leading
+    nonzero, scaled to 1, at its own pivot column.  Over GF(2) rows are
+    packed into Python ints (bit j is column j), and a new row is reduced
+    at its lowest set bit until that bit is no pivot.  Over GF(p) and Q
+    rows are lists of the field's native values (residues, Fractions), and
+    a new row is reduced at every pivot in the order the rows were stored:
+    each stored row is zero at the pivots stored before it, so a later
+    step never undoes an earlier one.  The arithmetic is plain, with every
+    inverse taken through field.inv.
     """
 
-    __slots__ = ("field", "ncols", "_gf2", "_rows", "_pivots")
+    __slots__ = ("field", "ncols", "_p", "_rows")
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self._gf2 = field.char == 2
-        self._rows: list = []
-        self._pivots: dict = {}
+        self._p = field.char
+        self._rows: dict = {}  # pivot column -> row, in the order added
 
     @property
     def rank(self) -> int:
@@ -276,39 +224,52 @@ class RowSpace:
 
     def add(self, row) -> bool:
         """Absorb one row (sequence of field elements); True if the rank grew."""
-        if self._gf2:
+        rows, p = self._rows, self._p
+        if p == 2:
             acc = 0
             for j, x in enumerate(row):
                 if x:
                     acc |= 1 << j
             while acc:
                 c = (acc & -acc).bit_length() - 1
-                idx = self._pivots.get(c)
-                if idx is None:
-                    self._pivots[c] = len(self._rows)
-                    self._rows.append(acc)
+                b = rows.get(c)
+                if b is None:
+                    rows[c] = acc
                     return True
-                acc ^= self._rows[idx]
+                acc ^= b
             return False
-        F = self.field
-        z = F.zero()
-        vec = list(row)
-        j = 0
-        while j < self.ncols:
-            if vec[j] == z:
-                j += 1
-                continue
-            idx = self._pivots.get(j)
-            if idx is None:
-                inv = F.inv(vec[j])
-                if inv != F.one():
-                    vec = [F.mul(inv, x) for x in vec]
-                self._pivots[j] = len(self._rows)
-                self._rows.append(vec)
-                return True
-            f = vec[j]
-            vec = [F.sub(a, F.mul(f, b)) for a, b in zip(vec, self._rows[idx])]
-        return False
+        vec = row
+        for c, b in rows.items():
+            f = vec[c]
+            if f:
+                vec = _minus(p, vec, f, b)
+        c = next((j for j, x in enumerate(vec) if x), None)
+        if c is None:
+            return False
+        inv = self.field.inv(vec[c])
+        if inv != 1:
+            vec = [x * inv % p for x in vec] if p else [x * inv for x in vec]
+        rows[c] = list(vec)
+        return True
+
+    def rref(self) -> tuple:
+        """(rows, pivot columns) of the reduced row echelon form of the span,
+        pivots ascending, rows as lists of field elements.
+
+        Back-substitution from the last pivot up: the rows below a row are
+        already reduced, each is zero at every pivot but its own, so
+        subtracting them clears the row's entries at their pivots and
+        leaves its other pivot columns as they are."""
+        p, n = self._p, self.ncols
+        rows = {c: [(b >> j) & 1 for j in range(n)] if p == 2 else b for c, b in self._rows.items()}
+        pivots = sorted(rows)
+        for k in range(len(pivots) - 2, -1, -1):
+            vec = rows[pivots[k]]
+            for c in pivots[k + 1:]:
+                if vec[c]:
+                    vec = _minus(p, vec, vec[c], rows[c])
+            rows[pivots[k]] = vec
+        return [rows[c] for c in pivots], pivots
 
 
 # -- Camion's signing ----------------------------------------------------------

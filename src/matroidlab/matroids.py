@@ -10,6 +10,7 @@ than a configurable cap, since everything here is desk scale by design.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -24,12 +25,13 @@ from .errors import (
     Overbudget,
     SingularBasis,
 )
-from .fields import Field, GF2_FIELD, Q_FIELD, field_from_name
-from .linalg import Matrix, _eliminate, is_sign_rescaling, tu_signing
+from .fields import Field, GF2_FIELD, GFp, Q_FIELD, field_from_name
+from .linalg import Matrix, RowSpace, is_sign_rescaling, tu_signing
 
 ENUMERATION_CAP = 20
 # 2^61 - 1, a Mersenne prime: the modulus of the column backend's rank test over Q
 RESIDUE_PRIME = (1 << 61) - 1
+RESIDUE_FIELD = GFp(RESIDUE_PRIME)
 
 
 def validate_ground(labels) -> tuple:
@@ -43,19 +45,21 @@ def validate_ground(labels) -> tuple:
 
 
 class _ColumnBackend:
-    """Column matroid of an exact matrix, decided by one modular rank test.
+    """Column matroid of an exact matrix: S is independent when its columns
+    all grow a RowSpace.
 
-    Every column is reduced once, here, to its residues modulo a prime p:
-    the characteristic over GF(2) and GF(p), where the residues are the
-    entries themselves and the test is exact, and RESIDUE_PRIME = 2^61 - 1
-    over Q.  Over Q a rank mod p equal to |S| proves S independent: some
-    |S| x |S| minor is nonzero mod p, and reduction mod p is a ring map on
-    the rationals whose denominators p does not divide, so that minor is
-    nonzero over Q too.  A smaller rank mod p proves nothing, because p may
-    divide a nonzero minor (a column of multiples of p reads as zero), so
-    then the verdict comes from the exact Fraction rank.  A matrix with a
-    denominator divisible by p has no residues, and every subset takes the
-    exact path.
+    Over GF(2) and GF(p) that space is over the matrix's own field, and the
+    test is exact.  Over Q the columns are first reduced to their residues
+    modulo RESIDUE_PRIME = 2^61 - 1.  A rank mod p equal to |S| proves S
+    independent: some |S| x |S| minor is nonzero mod p, and reduction mod p
+    is a ring map on the rationals whose denominators p does not divide, so
+    that minor is nonzero over Q too.  A smaller rank mod p proves nothing,
+    because p may divide a nonzero minor (a column of multiples of p reads
+    as zero), so then the verdict comes from the exact Fraction space.  A
+    matrix with a denominator divisible by p has no residues, and every
+    subset takes the exact path.  The columns and residues are computed on
+    the first query, since many matroids (glued operands with their
+    enumerations seeded) are never queried.
     """
 
     kind = "column"
@@ -65,52 +69,32 @@ class _ColumnBackend:
             raise BadParams("column count must match ground size")
         self.matrix = matrix
         self.index = {e: i for i, e in enumerate(ground)}
-        self.prime = matrix.field.char or RESIDUE_PRIME
-        self.residues = _column_residues(matrix, self.prime)
+
+    @cached_property
+    def columns(self) -> list:
+        return list(zip(*self.matrix.entries))
+
+    @cached_property
+    def residues(self):
+        """The columns as tuples of residues mod RESIDUE_PRIME, or None when
+        an entry's denominator is divisible by it."""
+        p, out = RESIDUE_PRIME, []
+        for col in self.columns:
+            fracs = [Fraction(x) for x in col]
+            if any(x.denominator % p == 0 for x in fracs):
+                return None
+            out.append(tuple(x.numerator * pow(x.denominator, -1, p) % p for x in fracs))
+        return out
 
     def indep(self, subset) -> bool:
         cols = [self.index[e] for e in subset]
-        if self.residues is not None:
-            if _independent_mod([self.residues[j] for j in cols], self.prime):
+        F, m = self.matrix.field, self.matrix.nrows
+        if not F.char and self.residues is not None:
+            space = RowSpace(RESIDUE_FIELD, m)
+            if all(space.add(self.residues[j]) for j in cols):
                 return True
-            if self.matrix.field.char:
-                return False  # the residues are the entries: the test was exact
-        return self.matrix.select_columns(sorted(cols)).rank() == len(cols)
-
-
-def _column_residues(matrix: Matrix, p: int):
-    """The columns as tuples of residues mod p, or None when an entry's
-    denominator is divisible by p."""
-    cols = []
-    for col in zip(*matrix.entries):
-        out = []
-        for x in col:
-            x = Fraction(x)
-            if x.denominator % p == 0:
-                return None
-            out.append(x.numerator * pow(x.denominator, -1, p) % p)
-        cols.append(tuple(out))
-    return cols
-
-
-def _independent_mod(columns, p: int) -> bool:
-    """True when the residue columns are linearly independent mod p.
-
-    Each column is reduced against the pivots of those before it and stops
-    the test as soon as one reduces to zero."""
-    reduced = []  # (pivot row, column scaled to 1 there)
-    for col in columns:
-        v = col
-        for piv, w in reduced:
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, w)]
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], -1, p)
-        reduced.append((piv, [a * inv % p for a in v]))
-    return True
+        space = RowSpace(F, m)
+        return all(space.add(self.columns[j]) for j in cols)
 
 
 class _GraphicBackend:
@@ -732,10 +716,18 @@ def _pivot(mat: Matrix, col: int, what: str) -> tuple:
     """(rows, pivot row): one Gauss-Jordan step on the first row with a
     nonzero in the column, scaled to 1 there; DegenerateElement(what) when
     the column is zero."""
+    F, z = mat.field, mat.field.zero()
     work = [list(r) for r in mat.entries]
-    pr = _eliminate(mat.field, work, [col]).get(col)
+    pr = next((i for i, r in enumerate(work) if r[col] != z), None)
     if pr is None:
         raise DegenerateElement(what)
+    inv = F.inv(work[pr][col])
+    if inv != F.one():
+        work[pr] = [F.mul(inv, x) for x in work[pr]]
+    for i, r in enumerate(work):
+        f = r[col]
+        if i != pr and f != z:
+            work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(r, work[pr])]
     return work, pr
 
 
@@ -776,8 +768,9 @@ def is_unimodular_standard_form(sf: Matrix, basis, ref: Matrix | None = None) ->
             for C in combinations(range(len(rest)), k):
                 cols = [[T[i][c] for i in R] for c in C]
                 # an odd determinant is nonzero: only an even one can differ over Q
-                odd = _independent_mod([[1 if x else 0 for x in col] for col in cols], 2)
-                if not odd and _independent_mod(cols, RESIDUE_PRIME):
+                mod2, modp = RowSpace(GF2_FIELD, k), RowSpace(RESIDUE_FIELD, k)
+                odd = all(mod2.add(col) for col in cols)
+                if not odd and all(modp.add(col) for col in cols):
                     return False
                 if A and (Matrix(ref.field, [[A[i][c] for c in C] for i in R]).rank() == k) != odd:
                     return False

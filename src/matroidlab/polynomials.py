@@ -402,14 +402,6 @@ def normal_form(poly: Polynomial, basis, key) -> Polynomial:
     return Polynomial(poly.field, poly.nvars, _reduce(dict(poly.terms), leads, poly.field, _Index(key)))
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    F = f.field
-    fm, fc = f.leading(key)
-    gm, gc = g.leading(key)
-    l = fm.lcm(gm)
-    return f.term_mul(l.div(fm), F.inv(fc)).sub(g.term_mul(l.div(gm), F.inv(gc)))
-
-
 def groebner_basis(ideal: Ideal, order: str = "grlex") -> tuple:
     """Reduced Groebner basis via Buchberger with sugar strategy.
 
@@ -772,20 +764,6 @@ class OrderIdealSet:
         if self.kind == "lower":
             return m in self.monomials
         return any(g.divides(m) for g in self.monomials)
-
-    def is_closed(self) -> bool:
-        """One-step closure check (divisibility down / generator antichain up)."""
-        if self.kind == "lower":
-            for m in self.monomials:
-                for v, _ in m.exps:
-                    if m.div(Monomial.variable(v)) not in self.monomials:
-                        return False
-            return True
-        for a in self.monomials:
-            for b in self.monomials:
-                if a != b and a.divides(b):
-                    return False
-        return True
 
     def __len__(self):
         return len(self.monomials)

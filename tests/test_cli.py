@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -134,6 +135,17 @@ def test_gen_list(capsys):
     assert all(isinstance(v, str) and v for v in names.values())
 
 
+# sha256 of stdout; the matrices these print depend on every row operation
+# of the pivot steps, standard forms and RREFs behind them
+PINNED_OUTPUT = (
+    (None, ["gen", "theta", "3,4"], "4b0c6a8d5622aa51eabb94202deb5341f82a92781eb311ef2df0907c0d6c8b31"),
+    (None, ["gen", "phi", "2,3,2"], "ff1aa9f09a77686f106fc65c5dafc78b1fefdfd046560f36f0e578f0511bfec4"),
+    ("dualk33", ["lsop", "--field", "q"], "75958812eafe0192d5f3404547622e1473f0a397ff96706e5439eea1f7c18c95"),
+    ("dualk33", ["lsop", "--field", "gf3"], "8f43c529507b5215992fa1728062de26d4bc2018d0d46edb58db50477c21cb5c"),
+    ("k33", ["nbc", "check", "--field", "q"], "22d80f74d773138dbbb3b2e0b98b2d5e39ad831b3465cb3dcefa687e044328f8"),
+)
+
+
 def test_byte_stable_output(tmp_path, capsys):
     path = write_matroid(tmp_path, uniform(2, 4))
     runs = []
@@ -147,6 +159,14 @@ def test_byte_stable_output(tmp_path, capsys):
         runs.append(out)
     assert runs[0] == runs[1]
     assert runs[0].endswith("\n")
+    for named, argv, digest in PINNED_OUTPUT:
+        if named is not None:
+            _, gen, _ = run(["gen", "named", named], capsys)
+            (tmp_path / named).write_text(gen)
+            argv = argv + ["--input", str(tmp_path / named)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_search_exit_codes_and_shard_merge(tmp_path, capsys):
@@ -304,10 +324,12 @@ U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
     (["nbc", "search", "--policy", "sample:a:b"], U23, {}),
     (["nbc", "search", "--checkpoint-every", "0"], U23, {}),
     (["nbc", "search"], U23, {"MATROIDLAB_WORKERS": "x"}),
+    (["nbc", "check", "--field", "gf18446744073709551629"], {"matroid": U23, "ordering": ["c", "a", "b"]}, {}),
 ), ids=(
     "uniform-without-rank", "float-rank", "string-rank", "bool-rank", "no-labels",
     "one-vertex-edge", "bad-entry", "bad-field", "nested-circuit", "matroid-not-object",
     "string-ordering", "bad-shard", "bad-sample", "checkpoint-every-0", "bad-workers-env",
+    "field-above-2^64",
 ))
 def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     for key, value in env.items():

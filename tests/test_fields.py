@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,10 +38,18 @@ def test_gfp_arithmetic():
 
 
 def test_gfp_rejects_composite_modulus():
+    # 2047 and 3215031751 are strong pseudoprimes to small bases, 561 is a
+    # Carmichael number, and 2^64 + 13 is the least prime above 2^64
+    for n in (6, 1, 2047, 561, 3215031751, 2**61 + 1, 2**64 + 13):
+        with pytest.raises(BadParams):
+            GFp(n)
+    for p in (2, 3, 37, 41, 2**31 - 1, 2**64 - 59):
+        assert GFp(p).p == p
     with pytest.raises(BadParams):
-        GFp(6)
-    with pytest.raises(BadParams):
-        GFp(1)
+        field_from_name("gf" + "7" * 5000)  # too long for int() to parse
+    start = time.perf_counter()
+    GFp(2**61 - 1)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_rational_arithmetic():

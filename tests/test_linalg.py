@@ -6,6 +6,8 @@ import pytest
 from matroidlab.errors import BadParams, BadRank, Overbudget, SingularBasis
 from matroidlab.fields import GF2_FIELD, GFp, Q_FIELD
 from matroidlab.linalg import Matrix, RowSpace, gf2_matrix, tu_signing
+from matroidlab.matroids import RESIDUE_FIELD
+from test_regularity import minor_rank
 
 FIELDS = (GF2_FIELD, GFp(5), Q_FIELD)
 
@@ -126,7 +128,7 @@ def test_standard_form_is_the_rref_with_basis_first():
             assert Matrix(field, m.entries + sf.entries).rank() == r
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", FIELDS + (RESIDUE_FIELD,))
 def test_rowspace_matches_batch_rank(field):
     rng = random.Random(414)
     for _ in range(25):
@@ -135,8 +137,7 @@ def test_rowspace_matches_batch_rank(field):
                 for _ in range(nrows)]
         space = RowSpace(field, ncols)
         grew = sum(space.add(r) for r in rows)
-        batch = Matrix(field, rows).rank()
-        assert space.rank == batch == grew
+        assert space.rank == grew == Matrix(field, rows).rank() == minor_rank(field, rows)
 
 
 def test_rowspace_add_reports_growth():

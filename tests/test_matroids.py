@@ -28,6 +28,7 @@ from matroidlab.matroids import (
     represented_parallel_connection,
     uniform,
 )
+from test_regularity import minor_rank
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
 
@@ -187,6 +188,17 @@ def test_represented_parallel_connection_agrees():
     assert set(glued.circuits()) == set(oracle.circuits())
 
 
+def test_pivot_rows_are_pinned():
+    # one Gauss-Jordan step on the first row with a nonzero in p's column:
+    # it is scaled by 1/2, and twice it is taken from the last row
+    m = from_matrix(Matrix.from_int_rows(Q_FIELD, [[0, 5, 7], [2, 1, 0], [4, 3, 1]]), ["p", "a", "b"])
+    assert m.contract("p").backend.matrix.entries == ((5, 7), (1, 1))
+    n = from_matrix(Matrix.from_int_rows(Q_FIELD, [[3, 1]]), ["p", "c"])
+    glued = represented_parallel_connection(m, n, "p")
+    third = Fraction(1, 3)
+    assert glued.backend.matrix.entries == ((1, Fraction(1, 2), 0, third), (0, 5, 7, 0), (0, 1, 1, 0))
+
+
 def test_cocircuit_transversal_oracle():
     for m in (uniform(2, 4), from_graph(TRIANGLE + (("c", "d"),))):
         assert set(m.cocircuits()) == set(cocircuits_via_transversals(m))
@@ -225,12 +237,12 @@ def test_enumeration_guard():
 
 
 def assert_oracle_is_exact_rank(m):
-    """is_independent against the exact rank of the columns, on every column subset."""
+    """is_independent against the brute-force rank of the columns, on every column subset."""
     mat = m.backend.matrix
     n = len(m.ground)
     for k in range(n + 1):
         for cols in combinations(range(n), k):
-            want = mat.select_columns(cols).rank() == k
+            want = minor_rank(mat.field, mat.select_columns(cols).entries) == k
             assert m.is_independent([m.ground[j] for j in cols]) == want, cols
 
 

@@ -187,9 +187,6 @@ def test_monomials_independent_in_quotient():
 def test_order_ideal_sets():
     lower = OrderIdealSet("lower", [Monomial.one(), X, Y])
     assert lower.contains(X) and not lower.contains(XY)
-    assert lower.is_closed()
-    gappy = OrderIdealSet("lower", [Monomial.one(), XY])
-    assert not gappy.is_closed()
     upper = OrderIdealSet("upper", [X2, XY])
     assert upper.contains(X2.mul(Y)) and not upper.contains(X)
     assert len(upper) == 2 and set(upper) == {X2, XY}

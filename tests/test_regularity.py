@@ -7,6 +7,7 @@ submatrix has determinant -1, 0 or +1, checked minor by minor.
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -33,6 +34,24 @@ def _det(rows) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
+
+
+def minor_rank(field, rows) -> int:
+    """The largest k with a nonzero k x k minor, on an integer lift of the
+    rows (each scaled by the lcm of its denominators), taken mod p over GF(p)."""
+    p = field.char
+    ints = []
+    for r in rows:
+        scale = lcm(*(Fraction(x).denominator for x in r))
+        ints.append([int(Fraction(x) * scale) for x in r])
+    nrows, ncols = len(ints), len(ints[0]) if ints else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                d = _det([[ints[i][j] for j in cs] for i in rs])
+                if d % p if p else d:
+                    return k
+    return 0
 
 
 def brute_force_tu(rows) -> bool:
