@@ -33,7 +33,7 @@ from .matroids import (
     parallel_connection, represented_parallel_connection, uniform,
 )
 from .polynomials import (
-    Ideal, Monomial, OrderIdealSet, Polynomial, groebner_basis,
+    Ideal, Monomial, Polynomial, groebner_basis,
     monomial_set_is_basis, quotient_dimension, quotient_dimension_macaulay,
     standard_monomials,
 )
@@ -55,7 +55,7 @@ __all__ = [
     "full_cocircuit_matrix", "fundamental_matrices", "Matrix", "RowSpace",
     "tu_signing", "Matroid", "from_circuits", "from_graph", "from_matrix",
     "matroid_from_json", "parallel_connection", "represented_parallel_connection",
-    "uniform", "Ideal", "Monomial", "OrderIdealSet", "Polynomial",
+    "uniform", "Ideal", "Monomial", "Polynomial",
     "groebner_basis", "monomial_set_is_basis", "quotient_dimension",
     "quotient_dimension_macaulay", "standard_monomials", "CriterionResult",
     "run_all", "run_criterion", "__version__",

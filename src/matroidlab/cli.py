@@ -48,7 +48,7 @@ from .families import (
 )
 from .fields import field_from_name
 from .matroids import Matroid, matroid_from_json
-from .polynomials import groebner_basis, standard_monomials
+from .polynomials import METHODS, groebner_basis, standard_monomials
 from . import verify as _verify
 
 
@@ -164,8 +164,8 @@ def _cmd_lsop(args) -> int:
             {"circuit": sorted(c, key=pos), "monomial": mon.show()}
             for c, mon in candidate_monomials(m, std)
         ],
-        "upper_generators": sorted(x.show() for x in upper.monomials),
-        "lower": sorted(x.show() for x in lower.monomials),
+        "upper_generators": sorted(x.show() for x in upper),
+        "lower": sorted(x.show() for x in lower),
         "valid": th.valid,
         "invalid_facet": sorted(th.invalid_facet, key=pos) if th.invalid_facet else None,
     }
@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_field(pc)
     _add_ordering(pc)
     pc.add_argument(
-        "--method", default="macaulay", choices=("macaulay", "groebner", "both"),
+        "--method", default="macaulay", choices=METHODS,
         help="independence path (default macaulay)",
     )
     pc.add_argument("--timing", action="store_true", help="include wall-clock time")

@@ -25,20 +25,17 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from math import factorial
-from operator import le
 from typing import NamedTuple
 
 from .complexes import HVector, Ordering, bc_facets, f_h_vectors, h_recursion_check
-from .errors import (
-    BadParams, InfiniteLowerIdeal, LsopInvalid, NoCocircuitPair, NotStandardOrdering,
-)
+from .errors import BadParams, NoCocircuitPair, NotStandardOrdering
 from .fields import Field, GF2_FIELD, field_from_name
 from .incidence import basis_is_nonsingular, fundamental_rows
 from .linalg import Matrix
 from .matroids import Matroid, matroid_from_json
 from .polynomials import (
-    Ideal, Monomial, OrderIdealSet, Polynomial, groebner_basis,
-    monomials_independent_in_quotient, normal_form_span, order_key,
+    METHODS, Ideal, Monomial, Polynomial, _dense, groebner_basis,
+    monomials_independent_in_quotient, order_key, staircase,
 )
 
 DEFAULT_CHECKPOINT_EVERY = 5000
@@ -170,7 +167,6 @@ def lsop(
     std: StandardOrdering,
     field: Field,
     validate: bool = True,
-    require_valid: bool = False,
 ) -> ThetaSystem:
     """Build the linear system and eliminated ideal; optionally check the
     facet-rank criterion (every facet's column set nonsingular), which for
@@ -212,17 +208,13 @@ def lsop(
     ideal = Ideal.make(F, t, [p for _, p in gens])
     valid = None
     bad = None
-    if validate or require_valid:
+    if validate:
         valid = True
         for facet in bc_facets(matroid, std.ordering):
             if not basis_is_nonsingular(matroid, cm, facet):
                 valid = False
                 bad = facet
                 break
-        if require_valid and not valid:
-            raise LsopInvalid(
-                "facet {" + ",".join(sorted(bad, key=position)) + "} fails the rank criterion"
-            )
     return ThetaSystem(std, F, cm, tuple(forms), substitution, tuple(gens), ideal, valid, bad)
 
 
@@ -265,77 +257,14 @@ def candidate_monomials(matroid: Matroid, std: StandardOrdering) -> tuple:
 
 
 def order_ideals(matroid: Matroid, std: StandardOrdering) -> tuple:
-    """(upper, lower): the upper ideal generated by the candidate monomials
-    and its finite complement, the candidate basis, in t = n - rank
-    variables.  Raises InfiniteLowerIdeal if some variable never acquires
-    a pure-power generator (impossible for the standard construction,
-    kept as a defensive guard).
-
-    Runs on dense exponent tuples.  The candidates are minimised in order
-    of degree: a proper divisor has a smaller degree, so it is kept before
-    the tuples it divides.  The walk sets x1, x2, ..., xt in turn and skips
-    work in two ways, neither of which loses a member:
-    - a generator g is tested only when its last variable v (the largest
-      with a positive exponent) is set.  Whether g divides a monomial
-      depends only on its exponents of x1..xv, which are all fixed at that
-      point and never change below it, so one test at v decides g for every
-      completion of the prefix;
-    - with x1..x(v-1) fixed, a generator indexed at v divides the prefix
-      times xv^a exactly when its other exponents divide the prefix and a
-      reaches its exponent of xv.  So the divisible a form an up-set, and
-      the loop at v ends at the first of them.  The pure power of xv is
-      indexed at v, so the loop never runs past it.
-    """
+    """(upper, lower): the minimal generators of the upper ideal generated
+    by the candidate monomials, and its finite complement, the candidate
+    basis, in t = n - rank variables, each a frozenset of monomials (see
+    polynomials.staircase).  Raises NotArtinian if some variable never
+    acquires a pure-power generator (impossible for the standard
+    construction, kept as a defensive guard)."""
     t = len(std.labels) - std.rank
-    cands = set()
-    for _, m in candidate_monomials(matroid, std):
-        dense = [0] * t
-        for v, a in m.exps:
-            dense[v - 1] = a
-        cands.add(tuple(dense))
-    gens: list = []
-    for c in sorted(cands, key=sum):
-        if not any(all(map(le, g, c)) for g in gens):
-            gens.append(c)
-    trusted = Monomial._trusted
-    upper = OrderIdealSet(
-        "upper",
-        (trusted(tuple((i + 1, a) for i, a in enumerate(g) if a), sum(g)) for g in gens),
-    )
-    if gens and not any(gens[0]):  # 1 is a candidate: nothing lies below it
-        return upper, OrderIdealSet("lower", ())
-    # at[v]: (exponent of xv, other (index, exponent) pairs) per generator ending at xv
-    at: list = [[] for _ in range(t + 1)]
-    for g in gens:
-        support = [i for i, a in enumerate(g) if a]
-        last = support[-1]
-        at[last + 1].append((g[last], tuple((i, g[i]) for i in support[:-1])))
-    for v in range(1, t + 1):
-        if all(rest for _, rest in at[v]):
-            raise InfiniteLowerIdeal(f"no pure power of x{v} among the generators", v)
-    exps = [0] * t
-    out = []
-
-    def limit(v: int) -> int:
-        return min(a for a, rest in at[v] if all(exps[i] >= b for i, b in rest))
-
-    def rec(v: int, prefix: tuple, degree: int):
-        stop = limit(v)
-        if v == t:
-            out.append(trusted(prefix, degree))
-            out.extend(trusted(prefix + ((v, a),), degree + a) for a in range(1, stop))
-            return
-        rec(v + 1, prefix, degree)
-        for a in range(1, stop):
-            exps[v - 1] = a
-            rec(v + 1, prefix + ((v, a),), degree + a)
-        exps[v - 1] = 0
-
-    if t:
-        rec(1, (), 0)
-    else:
-        out.append(Monomial.one())
-    return upper, OrderIdealSet("lower", out)
+    return staircase((_dense(m, t) for _, m in candidate_monomials(matroid, std)), t)
 
 
 # -- the basis decision --------------------------------------------------------
@@ -388,12 +317,12 @@ def nbc_check(
     'both' (which must agree).
     """
     t0 = time.perf_counter()
-    if method not in ("macaulay", "groebner", "both"):
+    if method not in METHODS:
         raise BadParams(f"unknown method {method!r}")
     h = _h_vector(matroid, std)
     _, lower = order_ideals(matroid, std)
     # count first: a wrong_cardinality verdict needs no grlex order
-    by_deg = Counter(map(Monomial.degree, lower.monomials))
+    by_deg = Counter(map(Monomial.degree, lower))
     dmax = max(len(h.entries) - 1, max(by_deg, default=0))
     mismatch = next(
         (
@@ -405,7 +334,7 @@ def nbc_check(
     )
     L = ()
     if mismatch is None or include_monomials:
-        L = sorted(lower.monomials, key=order_key("grlex", len(std.labels) - std.rank))
+        L = sorted(lower, key=order_key("grlex", len(std.labels) - std.rank))
     shown = tuple(m.show() for m in L) if include_monomials else ()
 
     def report(quotient_dim, cardinality_ok, lsop_valid, independent, verdict, reason, witness):
@@ -436,15 +365,9 @@ def nbc_check(
     if not theta.valid:
         facet = "{" + ",".join(sorted(theta.invalid_facet, key=std.ordering.position)) + "}"
         return report(None, True, False, None, "not_basis", "lsop_invalid", facet)
-    results = []
-    if method in ("macaulay", "both"):
-        results.append(monomials_independent_in_quotient(theta.ideal, L))
-    if method in ("groebner", "both"):
-        wit = normal_form_span(theta.ideal, groebner_basis(theta.ideal, "grlex"), L)[0]
-        results.append((wit is None, wit))
-    if len(results) == 2 and results[0][0] != results[1][0]:
-        raise AssertionError(f"independence paths disagree: {results}")
-    ok, wit = results[0]
+    # the basis goes through this module's groebner_basis, so a caller can wrap it
+    gb = None if method == "macaulay" else groebner_basis(theta.ideal, "grlex")
+    ok, wit = monomials_independent_in_quotient(theta.ideal, L, method, gb)
     if not ok:
         return report(h.total, True, True, False, "not_basis", "not_independent", wit.show())
     return report(h.total, True, True, True, "basis", "", None)
@@ -504,11 +427,8 @@ def decomposition_check(matroid: Matroid, std: StandardOrdering) -> Decompositio
     _, low_d = order_ideals(m_del, std_del)
     _, low_c = order_ideals(m_con, std_con)
     xt = Monomial.variable(t)
-    lifted = {xt.mul(m) for m in low_c.monomials}
-    l_split_ok = (
-        set(low.monomials) == (set(low_d.monomials) | lifted)
-        and not (set(low_d.monomials) & lifted)
-    )
+    lifted = {xt.mul(m) for m in low_c}
+    l_split_ok = low == low_d | lifted and not low_d & lifted
 
     B = frozenset(std.basis)
     B1 = frozenset(std_del.basis)

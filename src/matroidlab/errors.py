@@ -58,14 +58,6 @@ class NotArtinian(MatroidlabError):
         self.witness_variable = witness_variable
 
 
-class InfiniteLowerIdeal(MatroidlabError):
-    """Complement of the upper order ideal is infinite."""
-
-    def __init__(self, msg: str, witness_variable: int | None = None):
-        super().__init__(msg)
-        self.witness_variable = witness_variable
-
-
 class NoCocircuitPair(MatroidlabError):
     """The last element and the last cobasis element are not a cocircuit,
     so the deletion-contraction split does not apply."""
@@ -81,7 +73,3 @@ class UnknownName(MatroidlabError):
 
 class NotStandardOrdering(MatroidlabError):
     """The last rank(M) elements of the ordering are not a basis."""
-
-
-class LsopInvalid(MatroidlabError):
-    """Candidate system of parameters failed facet-rank validation."""

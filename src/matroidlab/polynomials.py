@@ -1,22 +1,23 @@
 """Exact multivariate polynomials, Groebner bases, and Artinian quotients.
 
 Variables are 1-based indices displayed as x1, x2, ...  Monomials are
-sparse (no zero exponents stored).  Two independent decision paths are
-kept deliberately separate; agreement between them is a tested invariant,
-never an assumption:
+sparse (no zero exponents stored).  staircase is the one walk over the
+monomials outside a monomial ideal: engine.order_ideals feeds it the
+candidate monomials, standard_monomials the leading terms.  Two decision
+paths are kept deliberately separate; agreement between them is a tested
+invariant, never an assumption:
 
-- Macaulay: dense linear algebra one degree at a time.  A slice holds the
-  rows of J_d in one RowSpace, built once, and answers dimension,
-  independence and spanning for degree d.  quotient_dimension_macaulay
-  reads the slice dimensions, monomials_independent_in_quotient adds the
-  monomials to the slices of their degrees, and monomial_set_is_basis
-  with method 'macaulay' does both and then asks the slices for a
-  spanning witness.
+- Macaulay: dense linear algebra one degree at a time.  A _MacaulaySlice
+  holds the rows of J_d (homogeneous generators only) in one RowSpace and
+  answers dimension, independence and spanning for degree d.
 - Groebner: Buchberger (groebner_basis), then normal forms.  normal_form_span
-  reduces monomials modulo a Groebner basis that its caller computes once,
-  and ranks the normal forms; monomial_set_is_basis with method
-  'groebner' and nbc_check's Groebner path both use it.
-  quotient_dimension and standard_monomials read the staircase.
+  ranks the normal forms of monomials modulo a basis computed once.
+
+_by_method runs the path named by one of METHODS, or both and checks that
+they agree, for monomials_independent_in_quotient (independence) and
+monomial_set_is_basis (the full decision of _basis_via_macaulay or
+_basis_via_groebner).  quotient_dimension_macaulay reads slice dimensions,
+quotient_dimension the staircase.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from operator import le
 from typing import NamedTuple
 
 from .errors import BadParams, NotArtinian
@@ -31,6 +33,8 @@ from .fields import Field
 from .linalg import RowSpace
 
 MACAULAY_DEGREE_CAP = 64
+# the decision paths a caller may name: dense per-degree rank, Buchberger, or both
+METHODS = ("macaulay", "groebner", "both")
 
 
 class Monomial:
@@ -73,9 +77,6 @@ class Monomial:
             if w == v:
                 return a
         return 0
-
-    def variables(self) -> tuple:
-        return tuple(v for v, _ in self.exps)
 
     def mul(self, other: "Monomial") -> "Monomial":
         d = dict(self.exps)
@@ -143,7 +144,7 @@ def _dense(m: Monomial, nvars: int) -> tuple:
     out = [0] * nvars
     for v, a in m.exps:
         if v > nvars:
-            break
+            raise BadParams(f"monomial {m.show()} uses a variable beyond x{nvars}")
         out[v - 1] = a
     return tuple(out)
 
@@ -203,10 +204,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {m.degree() for m in self.terms}
-        return len(degs) <= 1
 
     def total_degree(self) -> int:
         return max((m.degree() for m in self.terms), default=0)
@@ -465,22 +462,78 @@ def groebner_basis(ideal: Ideal, order: str = "grlex") -> tuple:
     return tuple(Polynomial(F, ideal.nvars, t) for _, t in final)
 
 
-# -- quotient dimension -------------------------------------------------------
+# -- the staircase ------------------------------------------------------------
 
 
-def _staircase_bounds(leads, nvars: int):
-    """Per-variable pure-power exponents among leading monomials, or None."""
-    bounds = [None] * (nvars + 1)
-    for m in leads:
-        vs = m.variables()
-        if len(vs) == 1:
-            v = vs[0]
-            a = m.exponent(v)
-            if bounds[v] is None or a < bounds[v]:
-                bounds[v] = a
-        elif not vs:
-            return "unit"
-    return bounds
+def staircase(gens, nvars: int) -> tuple:
+    """(minimal generators, members) of the monomial ideal generated by the
+    dense exponent tuples `gens` in nvars variables: its minimal generators
+    and the monomials outside it, each a frozenset of Monomials.  Raises
+    NotArtinian, naming the first variable with no pure power among the
+    generators, when infinitely many monomials lie outside.
+
+    The generators are minimised in order of degree: a proper divisor has a
+    smaller degree, so it is kept before the tuples it divides.  The walk
+    sets x1, x2, ..., xn in turn and skips work in two ways, neither of
+    which loses a member:
+    - a generator g is tested only when its last variable v (the largest
+      with a positive exponent) is set.  Whether g divides a monomial
+      depends only on its exponents of x1..xv, which are all fixed at that
+      point and never change below it, so one test at v decides g for every
+      completion of the prefix;
+    - with x1..x(v-1) fixed, a generator indexed at v divides the prefix
+      times xv^a exactly when its other exponents divide the prefix and a
+      reaches its exponent of xv.  So the divisible a form an up-set, and
+      the loop at v ends at the first of them.  The pure power of xv is
+      indexed at v, so the loop never runs past it.
+    """
+    mins: list = []
+    for c in sorted(set(gens), key=sum):
+        if not any(all(map(le, g, c)) for g in mins):
+            mins.append(c)
+    trusted = Monomial._trusted
+    upper = frozenset(
+        trusted(tuple((i + 1, a) for i, a in enumerate(g) if a), sum(g)) for g in mins
+    )
+    if mins and not any(mins[0]):  # the unit ideal: nothing lies outside it
+        return upper, frozenset()
+    # at[v]: (exponent of xv, other (index, exponent) pairs) per generator ending at xv
+    at: list = [[] for _ in range(nvars + 1)]
+    for g in mins:
+        support = [i for i, a in enumerate(g) if a]
+        last = support[-1]
+        at[last + 1].append((g[last], tuple((i, g[i]) for i in support[:-1])))
+    for v in range(1, nvars + 1):
+        if all(rest for _, rest in at[v]):
+            raise NotArtinian(f"no pure power of x{v} among the generators", v)
+    exps = [0] * nvars
+    out = []
+
+    def limit(v: int) -> int:
+        return min(a for a, rest in at[v] if all(exps[i] >= b for i, b in rest))
+
+    def rec(v: int, prefix: tuple, degree: int):
+        stop = limit(v)
+        if v == nvars:
+            out.append(trusted(prefix, degree))
+            out.extend(trusted(prefix + ((v, a),), degree + a) for a in range(1, stop))
+            return
+        rec(v + 1, prefix, degree)
+        for a in range(1, stop):
+            exps[v - 1] = a
+            rec(v + 1, prefix + ((v, a),), degree + a)
+        exps[v - 1] = 0
+
+    if nvars:
+        rec(1, (), 0)
+    else:
+        out.append(Monomial.one())
+    return upper, frozenset(out)
+
+
+def minimal_generators(monomials) -> frozenset:
+    ms = set(monomials)
+    return frozenset(m for m in ms if not any(o != m and o.divides(m) for o in ms))
 
 
 def standard_monomials(gb, nvars: int, order: str = "grlex") -> tuple:
@@ -490,32 +543,11 @@ def standard_monomials(gb, nvars: int, order: str = "grlex") -> tuple:
     leading monomials (infinitely many standard monomials).
     """
     key = order_key(order, nvars)
-    if nvars == 0:
-        return () if gb else (Monomial.one(),)
-    if not gb:
-        raise NotArtinian("zero ideal has an infinite quotient", 1)
-    leads = [g.leading(key)[0] for g in gb]
-    bounds = _staircase_bounds(leads, nvars)
-    if bounds == "unit":
-        return ()
-    missing = next((v for v in range(1, nvars + 1) if bounds[v] is None), None)
-    if missing is not None:
-        raise NotArtinian(f"no pure power of x{missing} in the leading ideal", missing)
-    out = []
+    _, members = staircase([_dense(g.leading(key)[0], nvars) for g in gb], nvars)
+    return tuple(sorted(members, key=key))
 
-    # box walk bounded by the pure powers, pruned at divisible prefixes
-    def rec(v: int, m: Monomial):
-        if any(l.divides(m) for l in leads):
-            return
-        if v > nvars:
-            out.append(m)
-            return
-        for a in range(bounds[v]):
-            rec(v + 1, m.mul(Monomial.variable(v, a)) if a else m)
 
-    rec(1, Monomial.one())
-    out.sort(key=key)
-    return tuple(out)
+# -- quotient dimension -------------------------------------------------------
 
 
 def quotient_dimension(ideal: Ideal, order: str = "grlex") -> tuple:
@@ -527,9 +559,9 @@ def quotient_dimension(ideal: Ideal, order: str = "grlex") -> tuple:
     return (len(std), tuple(by_deg))
 
 
-def monomials_of_degree(nvars: int, d: int, order: str = "grlex") -> tuple:
-    """All degree-d monomials, descending in the given order (column order)."""
-    key = order_key(order, nvars)
+def monomials_of_degree(nvars: int, d: int) -> tuple:
+    """All degree-d monomials, descending in grlex order (column order)."""
+    key = order_key("grlex", nvars)
     if d == 0:
         return (Monomial.one(),)
     out = [
@@ -560,9 +592,13 @@ class _MacaulaySlice:
         self.index = {m: i for i, m in enumerate(cols)}
         self.space = RowSpace(F, len(cols))
         for g in ideal.generators:
-            if g.total_degree() > d:
+            degrees = {m.degree() for m in g.terms}  # one pass: homogeneous, and its degree
+            if len(degrees) > 1:
+                raise BadParams("macaulay path requires homogeneous generators")
+            e = min(degrees, default=0)
+            if e > d:
                 continue
-            for shift in monomials_of_degree(ideal.nvars, d - g.total_degree()):
+            for shift in monomials_of_degree(ideal.nvars, d - e):
                 row = [F.zero()] * len(cols)
                 for m, c in g.term_mul(shift).terms.items():
                     row[self.index[m]] = c
@@ -589,9 +625,6 @@ def _macaulay_slices(ideal: Ideal, cap: int | None = None) -> dict:
     complete-intersection-style regularity bound) the quotient is declared
     non-Artinian.
     """
-    for g in ideal.generators:
-        if not g.is_homogeneous():
-            raise BadParams("macaulay path requires homogeneous generators")
     if cap is None:
         cap = sum(g.total_degree() for g in ideal.generators) or 1
     cap = min(cap, MACAULAY_DEGREE_CAP)
@@ -631,14 +664,28 @@ def quotient_dimension_macaulay(ideal: Ideal, cap: int | None = None) -> tuple:
     return (sum(by_deg), by_deg)
 
 
-def monomials_independent_in_quotient(ideal: Ideal, mons) -> tuple:
-    """(all independent?, first dependent monomial) by per-degree Macaulay rank.
+def monomials_independent_in_quotient(
+    ideal: Ideal, mons, method: str = "macaulay", gb=None
+) -> tuple:
+    """(all independent?, first dependent monomial in grlex order) for the
+    images of `mons` in k[x]/ideal.
 
-    Unlike monomial_set_is_basis this never computes the quotient dimension,
-    so it stays cheap inside search loops.  Homogeneous generators required.
+    method 'macaulay' ranks each degree apart (homogeneous generators
+    required) and never computes the quotient dimension, so it stays cheap
+    inside search loops; 'groebner' ranks normal forms modulo gb, a grlex
+    Groebner basis of the ideal, computed here when None; 'both' runs both.
     """
-    wit = _first_dependent(ideal, mons, {})
-    return (wit is None, wit)
+    mons = list(mons)
+
+    def groebner():
+        wit = normal_form_span(ideal, groebner_basis(ideal) if gb is None else gb, mons)[0]
+        return (wit is None, wit)
+
+    def macaulay():
+        wit = _first_dependent(ideal, mons, {})
+        return (wit is None, wit)
+
+    return _by_method(method, groebner, macaulay)
 
 
 def normal_form_span(ideal: Ideal, gb, mons, order: str = "grlex") -> tuple:
@@ -693,20 +740,29 @@ def monomial_set_is_basis(
     Precedence: NotArtinian raised; wrong_cardinality when the sizes differ;
     not_independent with the first offending monomial; not_spanning with a
     witness standard monomial when S is independent but too small.  method
-    selects 'groebner', 'macaulay', or 'both' (both paths must agree; any
-    disagreement raises, since it would mean a bug in one of them).
+    selects 'groebner', 'macaulay', or 'both' (see _by_method).
     """
     mons = list(monomials)
-    res_g = res_m = None
-    if method in ("groebner", "both"):
-        res_g = _basis_via_groebner(ideal, mons, order)
-    if method in ("macaulay", "both"):
-        res_m = _basis_via_macaulay(ideal, mons)
-    if res_g is not None and res_m is not None and res_g.kind != res_m.kind:
-        raise AssertionError(
-            f"independent decision paths disagree: {res_g.kind} vs {res_m.kind}"
-        )
-    return res_g if res_g is not None else res_m
+    return _by_method(
+        method,
+        lambda: _basis_via_groebner(ideal, mons, order),
+        lambda: _basis_via_macaulay(ideal, mons),
+    )
+
+
+def _by_method(method: str, groebner, macaulay) -> tuple:
+    """The answer, an (outcome, witness) pair, of the path that `method`
+    names, each path a thunk.  'both' runs the Groebner path, then the
+    Macaulay path, and returns the Groebner answer once the two outcomes
+    agree; the paths are independent, so a disagreement would mean a bug in
+    one of them and raises."""
+    if method not in METHODS:
+        raise BadParams(f"unknown method {method!r}")
+    res_g = groebner() if method != "macaulay" else None
+    res_m = macaulay() if method != "groebner" else None
+    if res_g is not None and res_m is not None and res_g[0] != res_m[0]:
+        raise AssertionError(f"independent decision paths disagree: {res_g[0]} vs {res_m[0]}")
+    return res_m if res_g is None else res_g
 
 
 def _basis_via_groebner(ideal: Ideal, mons, order: str) -> BasisVerdict:
@@ -746,35 +802,3 @@ def _basis_via_macaulay(ideal: Ideal, mons) -> BasisVerdict:
             if wit is not None:
                 return BasisVerdict("not_spanning", wit)
     return BasisVerdict("basis", None)
-
-
-# -- order ideals ---------------------------------------------------------------
-
-
-class OrderIdealSet:
-    """A lower order ideal (all members) or upper order ideal (min generators)."""
-
-    def __init__(self, kind: str, monomials):
-        if kind not in ("lower", "upper"):
-            raise BadParams("kind must be 'lower' or 'upper'")
-        self.kind = kind
-        self.monomials = frozenset(monomials)
-
-    def contains(self, m: Monomial) -> bool:
-        if self.kind == "lower":
-            return m in self.monomials
-        return any(g.divides(m) for g in self.monomials)
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __repr__(self):
-        return f"OrderIdealSet({self.kind}, {len(self.monomials)} monomials)"
-
-
-def minimal_generators(monomials) -> frozenset:
-    ms = set(monomials)
-    return frozenset(m for m in ms if not any(o != m and o.divides(m) for o in ms))

@@ -128,7 +128,7 @@ def _free_uniform_tower() -> tuple:
             if got != want:
                 problems.append(f"U({n},{n})/{field.name}: forms {got}")
             _, lower = order_ideals(m, std)
-            if lower.monomials != frozenset({Monomial.one()}):
+            if lower != frozenset({Monomial.one()}):
                 problems.append(f"U({n},{n}): lower ideal is not {{1}}")
             rep = nbc_check(m, std, field)
             if not rep.is_basis:
@@ -419,7 +419,7 @@ def _oracle_suite() -> tuple:
             problems.append(f"{name}: system invalid, nothing to compare")
             continue
         _, lower = order_ideals(m, std)
-        mons = sorted(lower.monomials, key=lambda x: (x.degree(), x.exps))
+        mons = sorted(lower, key=lambda x: (x.degree(), x.exps))
         try:
             monomial_set_is_basis(th.ideal, mons, method="both")
         except AssertionError:

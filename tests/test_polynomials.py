@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,8 +9,8 @@ from matroidlab.families import list_named, named_matroid
 from matroidlab.fields import GF2_FIELD, GFp, Q_FIELD
 from matroidlab.polynomials import (
     Ideal,
+    METHODS,
     Monomial,
-    OrderIdealSet,
     Polynomial,
     groebner_basis,
     minimal_generators,
@@ -22,6 +23,7 @@ from matroidlab.polynomials import (
     quotient_dimension,
     quotient_dimension_macaulay,
     standard_monomials,
+    staircase,
 )
 
 X = Monomial.variable(1)
@@ -39,7 +41,6 @@ def test_monomial_basics():
     m = Monomial.parse("x1^2 x3")
     assert m.degree() == 3
     assert m.exponent(1) == 2 and m.exponent(2) == 0
-    assert m.variables() == (1, 3)
     assert m.show() == "x1^2 x3"
     assert Monomial.parse("1") == Monomial.one()
     assert Monomial.one().show() == "1"
@@ -79,11 +80,10 @@ def test_polynomial_arithmetic():
     a = _poly(F, 2, "x1 + x2")
     sq = a.mul(a)
     assert sq == _poly(F, 2, "x1^2 + 2 x1 x2 + x2^2")
-    assert sq.is_homogeneous() and sq.total_degree() == 2
+    assert sq.total_degree() == 2
     assert a.sub(a).is_zero()
     b = _poly(GF2_FIELD, 2, "x1 + x2")
     assert b.mul(b) == _poly(GF2_FIELD, 2, "x1^2 + x2^2")
-    assert _poly(F, 2, "x1^2 - x2").is_homogeneous() is False
 
 
 def test_polynomial_show_parse_roundtrip():
@@ -184,27 +184,80 @@ def test_monomials_independent_in_quotient():
     assert not ok and witness == X2
 
 
-def test_order_ideal_sets():
-    lower = OrderIdealSet("lower", [Monomial.one(), X, Y])
-    assert lower.contains(X) and not lower.contains(XY)
-    upper = OrderIdealSet("upper", [X2, XY])
-    assert upper.contains(X2.mul(Y)) and not upper.contains(X)
-    assert len(upper) == 2 and set(upper) == {X2, XY}
+def test_unknown_method_is_refused():
+    F = GF2_FIELD
+    ideal = Ideal.make(F, 2, [_poly(F, 2, "x1^2"), _poly(F, 2, "x2^2")])
+    for method in METHODS:
+        assert monomials_independent_in_quotient(ideal, [X, Y], method) == (True, None)
+        assert monomial_set_is_basis(ideal, [Monomial.one(), X, Y, XY], method).is_basis
     with pytest.raises(BadParams):
-        OrderIdealSet("sideways", [])
+        monomial_set_is_basis(ideal, [Monomial.one(), X, Y, XY], method="bogus")
+    with pytest.raises(BadParams):
+        monomials_independent_in_quotient(ideal, [X, Y], method="bogus")
+
+
+def test_macaulay_path_refuses_inhomogeneous_generators():
+    F = Q_FIELD
+    for gens, mons in (
+        (["x1^2 - 1"], [Monomial.one(), X2]),  # its constant term has no degree-2 column
+        (["x1^2 - x2", "x2^2"], [Monomial.one(), X]),
+    ):
+        ideal = Ideal.make(F, 2, [_poly(F, 2, g) for g in gens])
+        with pytest.raises(BadParams, match="homogeneous"):
+            monomials_independent_in_quotient(ideal, mons)
+        with pytest.raises(BadParams, match="homogeneous"):
+            monomial_set_is_basis(ideal, mons, method="macaulay")
+        with pytest.raises(BadParams, match="homogeneous"):
+            quotient_dimension_macaulay(ideal)
+
+
+def _brute_staircase(gb, nvars, order):
+    """Every point of an exponent box that no lead divides, ascending; the
+    box reaches past every lead, so it holds every standard monomial of an
+    Artinian quotient.  Shares no code with the staircase walk."""
+    key = order_key(order, nvars)
+    leads = [g.leading(key)[0] for g in gb]
+    top = max(m.degree() for m in leads)
+    box = (Monomial(dict(enumerate(e, 1))) for e in product(range(top + 1), repeat=nvars))
+    return tuple(sorted((m for m in box if not any(l.divides(m) for l in leads)), key=key))
+
+
+def test_standard_monomials_edge_cases():
+    F = Q_FIELD
+    unit = groebner_basis(Ideal.make(F, 2, [_poly(F, 2, "x1 + 1"), _poly(F, 2, "x1")]))
+    assert standard_monomials(unit, 2) == ()
+    assert standard_monomials((), 0) == (Monomial.one(),)
+    assert standard_monomials((Polynomial.constant(F, 0, F.one()),), 0) == ()
+    with pytest.raises(NotArtinian) as zero:
+        standard_monomials((), 2)
+    assert zero.value.witness_variable == 1
+    with pytest.raises(NotArtinian) as half:
+        standard_monomials(groebner_basis(Ideal.make(F, 2, [_poly(F, 2, "x1^2")])), 2)
+    assert half.value.witness_variable == 2
+    # a lead in x3 is refused, not read as the unit ideal in two variables
+    three = groebner_basis(Ideal.make(F, 3, [_poly(F, 3, "x1^2"), _poly(F, 3, "x2^2"), _poly(F, 3, "x3")]))
+    with pytest.raises(BadParams):
+        standard_monomials(three, 2)
 
 
 def test_minimal_generators():
     gens = minimal_generators([X2, X2.mul(Y), XY, XY.mul(XY)])
     assert gens == frozenset({X2, XY})
+    # the staircase keeps the same generators, and with x2^2 added the
+    # monomials below them are 1, x1 and x2
+    with pytest.raises(NotArtinian) as no_x2:
+        staircase([(2, 0), (2, 1), (1, 1), (2, 2)], 2)
+    assert no_x2.value.witness_variable == 2
+    assert staircase([(2, 0), (2, 1), (1, 1), (2, 2), (0, 2), (1, 1)], 2) == (
+        gens | {Y2}, frozenset({Monomial.one(), X, Y}))
 
 
 def _to_sympy(p, xs, sympy):
     total = sympy.Integer(0)
     for mono, coeff in p.terms.items():
         term = sympy.Rational(p.field.show(coeff))
-        for v in mono.variables():
-            term *= xs[v - 1] ** mono.exponent(v)
+        for v, a in mono.exps:
+            term *= xs[v - 1] ** a
         total += term
     return sympy.expand(total)
 
@@ -312,6 +365,9 @@ def test_macaulay_and_groebner_paths_agree(field):
         ideal = _random_homogeneous_ideal(rng, field, nvars)
         gb = groebner_basis(ideal)
         std = list(standard_monomials(gb, nvars))
+        assert tuple(std) == _brute_staircase(gb, nvars, "grlex")
+        lex = groebner_basis(ideal, "lex")
+        assert standard_monomials(lex, nvars, "lex") == _brute_staircase(lex, nvars, "lex")
         pick = rng.random()
         if pick < 0.3:
             cand = std
@@ -329,6 +385,8 @@ def test_macaulay_and_groebner_paths_agree(field):
         # the search-loop entry points give the same first dependent monomial
         ok, wit = monomials_independent_in_quotient(ideal, cand)
         assert normal_form_span(ideal, gb, cand)[0] == wit
+        assert monomials_independent_in_quotient(ideal, cand, "groebner", gb) == (ok, wit)
+        assert monomials_independent_in_quotient(ideal, cand, "both") == (ok, wit)
         if mac.kind == "not_independent":
             assert wit == mac.witness
         elif mac.kind != "wrong_cardinality":
