@@ -2,14 +2,15 @@
 
 Matrices are immutable.  All elimination runs through RowSpace, whose
 rows are reduced in a fixed order, and the RREF of a row space is unique,
-so identical inputs produce byte-identical outputs.  GF(2) rows are packed
-into Python ints internally; the packing never leaks into the public
-contract.
+so identical inputs produce byte-identical outputs.  Internally GF(2) rows
+are packed into Python ints and Q rows are primitive integer lists, reduced
+fraction-free; neither leaks into the public contract.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BadParams, BadRank, BadSize, SingularBasis
 from .fields import Field, GF2_FIELD, Q_FIELD
@@ -185,12 +186,21 @@ def _span(F: Field, rows, ncols) -> "RowSpace":
     return space
 
 
-def _minus(p: int, a, f, b) -> list:
-    """a - f b for rows of native field values: residues mod p, or Fractions
-    when p is 0.  Entries where b is zero are kept as they are."""
+def _clear(p: int, vec, c: int, b) -> list:
+    """vec with its entry at column c cleared by the stored row b.
+
+    Over GF(p) b has 1 at c, and the result is vec - vec[c] b mod p.  Over Q
+    both are integer rows and the result is the primitive integer row of
+    (b[c]/g) vec - (vec[c]/g) b, g = gcd(vec[c], b[c]): a nonzero rational
+    multiple of vec - (vec[c]/b[c]) b, so it spans the same line."""
+    f = vec[c]
     if p:
-        return [(x - f * y) % p if y else x for x, y in zip(a, b)]
-    return [x - f * y if y else x for x, y in zip(a, b)]
+        return [(x - f * y) % p if y else x for x, y in zip(vec, b)]
+    g = gcd(f, b[c])
+    s, t = b[c] // g, f // g
+    vec = [s * x - t * y for x, y in zip(vec, b)]
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
 
 
 class RowSpace:
@@ -200,14 +210,26 @@ class RowSpace:
     add() reduces the new row against the rows collected so far, so a
     sequence of adds costs one elimination pass per row instead of a fresh
     Gaussian elimination per rank query.  Each stored row has its leading
-    nonzero, scaled to 1, at its own pivot column.  Over GF(2) rows are
-    packed into Python ints (bit j is column j), and a new row is reduced
-    at its lowest set bit until that bit is no pivot.  Over GF(p) and Q
-    rows are lists of the field's native values (residues, Fractions), and
-    a new row is reduced at every pivot in the order the rows were stored:
-    each stored row is zero at the pivots stored before it, so a later
-    step never undoes an earlier one.  The arithmetic is plain, with every
-    inverse taken through field.inv.
+    nonzero at its own pivot column.  Over GF(2) rows are packed into
+    Python ints (bit j is column j), and a new row is reduced at its lowest
+    set bit until that bit is no pivot.  Over GF(p) rows are lists of
+    residues with pivot entry 1.  Over Q they are primitive integer lists
+    (gcd of the entries 1, pivot entry positive), elimination is
+    fraction-free, and Fractions appear only in the output of rref().  A
+    new row, its denominators cleared, is reduced at every pivot in the
+    order the rows were stored: each stored row is zero at the pivots
+    stored before it, so a later step never undoes an earlier one.
+
+    Over Q the entries cannot blow up.  After the steps at pivots
+    c_1 ... c_j the row lies in span(new, b_1 ... b_j) and is zero at
+    c_1 ... c_j; the stored rows restricted to those columns are
+    triangular with nonzero diagonal, so the vectors of that span that
+    vanish there form at most one line.  The row is that line's primitive
+    integer vector.  By Cramer's rule the line is also spanned by the
+    (j+1)-minors, on c_1 ... c_j and one more column, of the new row and
+    the j cleared input rows that span the b's, so each entry is at most
+    such a minor, within Hadamard's bound (Bareiss 1968; von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 5).
     """
 
     __slots__ = ("field", "ncols", "_p", "_rows")
@@ -238,17 +260,24 @@ class RowSpace:
                     return True
                 acc ^= b
             return False
-        vec = row
+        if p:
+            vec = row
+        else:  # int and Fraction both expose numerator and denominator
+            den = lcm(*(x.denominator for x in row))
+            vec = [x.numerator * (den // x.denominator) for x in row]
         for c, b in rows.items():
-            f = vec[c]
-            if f:
-                vec = _minus(p, vec, f, b)
+            if vec[c]:
+                vec = _clear(p, vec, c, b)
         c = next((j for j, x in enumerate(vec) if x), None)
         if c is None:
             return False
-        inv = self.field.inv(vec[c])
-        if inv != 1:
-            vec = [x * inv % p for x in vec] if p else [x * inv for x in vec]
+        if p:
+            f = self.field.inv(vec[c])
+        else:
+            g = gcd(*vec)
+            f = -g if vec[c] < 0 else g
+        if f != 1:
+            vec = [x * f % p for x in vec] if p else [x // f for x in vec]
         rows[c] = list(vec)
         return True
 
@@ -258,8 +287,10 @@ class RowSpace:
 
         Back-substitution from the last pivot up: the rows below a row are
         already reduced, each is zero at every pivot but its own, so
-        subtracting them clears the row's entries at their pivots and
-        leaves its other pivot columns as they are."""
+        clearing the row's entries at their pivots leaves its other pivot
+        columns as they are.  Over Q each row is then divided by its pivot
+        entry; the RREF of a span is unique, so it does not matter that the
+        rows were scaled on the way."""
         p, n = self._p, self.ncols
         rows = {c: [(b >> j) & 1 for j in range(n)] if p == 2 else b for c, b in self._rows.items()}
         pivots = sorted(rows)
@@ -267,8 +298,10 @@ class RowSpace:
             vec = rows[pivots[k]]
             for c in pivots[k + 1:]:
                 if vec[c]:
-                    vec = _minus(p, vec, vec[c], rows[c])
+                    vec = _clear(p, vec, c, rows[c])
             rows[pivots[k]] = vec
+        if not p:
+            rows = {c: [Fraction(x, b[c]) for x in b] for c, b in rows.items()}
         return [rows[c] for c in pivots], pivots
 
 

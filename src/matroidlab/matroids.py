@@ -49,17 +49,18 @@ class _ColumnBackend:
     all grow a RowSpace.
 
     Over GF(2) and GF(p) that space is over the matrix's own field, and the
-    test is exact.  Over Q the columns are first reduced to their residues
-    modulo RESIDUE_PRIME = 2^61 - 1.  A rank mod p equal to |S| proves S
-    independent: some |S| x |S| minor is nonzero mod p, and reduction mod p
-    is a ring map on the rationals whose denominators p does not divide, so
-    that minor is nonzero over Q too.  A smaller rank mod p proves nothing,
-    because p may divide a nonzero minor (a column of multiples of p reads
-    as zero), so then the verdict comes from the exact Fraction space.  A
-    matrix with a denominator divisible by p has no residues, and every
-    subset takes the exact path.  The columns and residues are computed on
-    the first query, since many matroids (glued operands with their
-    enumerations seeded) are never queried.
+    test is exact.  Over Q the columns of S are first reduced to their
+    residues modulo RESIDUE_PRIME = 2^61 - 1.  A rank mod p equal to |S|
+    proves S independent: some |S| x |S| minor is nonzero mod p, and
+    reduction mod p is a ring map on the rationals whose denominators p does
+    not divide, which every entry of those columns is, so that minor is
+    nonzero over Q too.  A smaller rank mod p proves nothing, because p may
+    divide a nonzero minor (a column of multiples of p reads as zero), so
+    then the verdict comes from the exact space, fraction-free over Q.  A
+    subset with a column whose denominators p divides has no residues and
+    takes the exact path.  Each column is converted on its first query,
+    since many matroids (glued operands with their enumerations seeded) are
+    never queried and a cold check asks for only a few columns.
     """
 
     kind = "column"
@@ -69,29 +70,28 @@ class _ColumnBackend:
             raise BadParams("column count must match ground size")
         self.matrix = matrix
         self.index = {e: i for i, e in enumerate(ground)}
+        self._residues: dict = {}  # column index -> residues or None
 
     @cached_property
     def columns(self) -> list:
         return list(zip(*self.matrix.entries))
 
-    @cached_property
-    def residues(self):
-        """The columns as tuples of residues mod RESIDUE_PRIME, or None when
+    def _residue(self, j):
+        """Column j as a tuple of residues mod RESIDUE_PRIME, or None when
         an entry's denominator is divisible by it."""
-        p, out = RESIDUE_PRIME, []
-        for col in self.columns:
-            fracs = [Fraction(x) for x in col]
-            if any(x.denominator % p == 0 for x in fracs):
-                return None
-            out.append(tuple(x.numerator * pow(x.denominator, -1, p) % p for x in fracs))
-        return out
+        if j not in self._residues:
+            p, col = RESIDUE_PRIME, self.columns[j]
+            ok = all(x.denominator % p for x in col)
+            self._residues[j] = tuple(x.numerator * pow(x.denominator, -1, p) % p for x in col) if ok else None
+        return self._residues[j]
 
     def indep(self, subset) -> bool:
         cols = [self.index[e] for e in subset]
         F, m = self.matrix.field, self.matrix.nrows
-        if not F.char and self.residues is not None:
+        if not F.char:
+            res = [self._residue(j) for j in cols]
             space = RowSpace(RESIDUE_FIELD, m)
-            if all(space.add(self.residues[j]) for j in cols):
+            if None not in res and all(space.add(r) for r in res):
                 return True
         space = RowSpace(F, m)
         return all(space.add(self.columns[j]) for j in cols)

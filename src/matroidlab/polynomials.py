@@ -598,17 +598,17 @@ class _MacaulaySlice:
             e = min(degrees, default=0)
             if e > d:
                 continue
+            # distinct terms times one shift stay distinct: no two collide
             for shift in monomials_of_degree(ideal.nvars, d - e):
-                row = [F.zero()] * len(cols)
-                for m, c in g.term_mul(shift).terms.items():
-                    row[self.index[m]] = c
+                row = [0] * len(cols)  # RowSpace reads int 0 and 1 in every field
+                for m, c in g.terms.items():
+                    row[self.index[m.mul(shift)]] = c
                 self.space.add(row)
         self.dim = len(cols) - self.space.rank
 
     def add(self, m: Monomial) -> bool:
-        F = self.space.field
-        row = [F.zero()] * self.space.ncols
-        row[self.index[m]] = F.one()
+        row = [0] * self.space.ncols
+        row[self.index[m]] = 1
         return self.space.add(row)
 
     def escape(self) -> Monomial | None:

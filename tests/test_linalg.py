@@ -146,3 +146,94 @@ def test_rowspace_add_reports_growth():
     assert space.add([0, 1, 1])
     assert not space.add([1, 0, 1])  # sum of the first two
     assert space.rank == 2
+
+
+# -- the fraction-free Q kernel against a textbook reference -------------------
+
+P61 = (1 << 61) - 1
+
+
+def fraction_rref(rows, ncols) -> tuple:
+    """(rows, pivots) of the RREF by textbook Gauss-Jordan on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        k = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        top = len(pivots)
+        m[top], m[k] = m[k], m[top]
+        m[top] = [x / m[top][c] for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def rational_matrices():
+    """Seeded Q matrices: small fractions (denominators up to 7), integers up
+    to 10^20, a column of multiples of 2^61 - 1, zero rows and rows that are
+    combinations of earlier ones; then the 10 x 10 Hilbert matrix."""
+    rng = random.Random("fraction-free")
+    for i in range(90):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        kind = i % 3
+        if kind == 0:
+            draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        elif kind == 1:
+            draw = lambda: Fraction(rng.choice((0, rng.randint(-10**20, 10**20))))
+        else:
+            draw = lambda: Fraction(rng.randint(-3, 3))
+        rows = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+        if kind == 2:
+            j = rng.randrange(ncols)
+            for r in rows:
+                r[j] = Fraction(P61 * rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 2)):
+            a, b, f = rng.choice(rows), rng.choice(rows), draw()
+            rows.insert(rng.randint(0, len(rows)), [x + f * y for x, y in zip(a, b)])
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * ncols)
+        yield rows
+    yield [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
+
+
+def test_rational_kernel_matches_gauss_jordan():
+    for rows in rational_matrices():
+        ncols = len(rows[0])
+        ref, pivots = fraction_rref(rows, ncols)
+        ref_growth = [len(fraction_rref(rows[:k + 1], ncols)[1]) > len(fraction_rref(rows[:k], ncols)[1])
+                      for k in range(len(rows))]
+        space = RowSpace(Q_FIELD, ncols)
+        assert [space.add(r) for r in rows] == ref_growth
+        m = Matrix(Q_FIELD, rows)
+        assert space.rank == m.rank() == len(pivots)
+        if len(rows) <= 5 and ncols <= 5:
+            assert space.rank == minor_rank(Q_FIELD, rows)
+        assert space.rref() == (ref, pivots)
+        assert m.rref().entries == tuple(map(tuple, ref))
+        assert all(type(x) is Fraction for r in m.rref().entries for x in r)
+        # standard form on the last basis of columns, the pivots of the
+        # columns reversed: the RREF of the columns reordered so the basis
+        # comes first, put back in place
+        basis = sorted(ncols - 1 - j for j in fraction_rref([r[::-1] for r in rows], ncols)[1])
+        order = basis + [j for j in range(ncols) if j not in basis]
+        sf_ref, _ = fraction_rref([[r[j] for j in order] for r in rows], ncols)
+        back = sorted(range(ncols), key=order.__getitem__)
+        assert m.standard_form(basis).entries == tuple(tuple(r[t] for t in back) for r in sf_ref)
+        free = [j for j in range(ncols) if j not in pivots]
+        null = [[Fraction(int(j == f)) for j in range(ncols)] for f in free]
+        for v, f in zip(null, free):
+            for r, c in zip(ref, pivots):
+                v[c] = -r[f]
+        assert m.null_space_basis().entries == tuple(map(tuple, null))
+
+
+def test_hilbert_matrix_has_full_rank():
+    hilbert = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
+    m = Matrix(Q_FIELD, hilbert)
+    assert m.rank() == 10
+    assert m.rref() == Matrix.identity(Q_FIELD, 10)
+    assert m.null_space_basis().nrows == 0

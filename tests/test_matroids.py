@@ -257,12 +257,15 @@ def test_multiples_of_the_residue_prime_are_not_zero():
 
 
 def test_denominator_of_the_residue_prime_takes_the_exact_path():
+    # e1 has no residue mod P and e4 is parallel to it over Q; subsets
+    # without e1 take the residue test, subsets with it the exact one
     m = from_matrix(Matrix(Q_FIELD, [
-        [Fraction(1, P), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(2), Fraction(2)],
+        [Fraction(1, P), Fraction(0), Fraction(1), Fraction(1)],
+        [Fraction(0), Fraction(2), Fraction(2), Fraction(0)],
     ]))
-    assert m.backend.residues is None
+    assert m.is_independent(["e2", "e3"]) and m.is_independent(["e3", "e4"])
     assert m.is_independent(["e1", "e2"])
+    assert not m.is_independent(["e1", "e4"])
     assert not m.is_independent(["e1", "e2", "e3"])
     assert_oracle_is_exact_rank(m)
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -354,6 +355,38 @@ def _random_homogeneous_ideal(rng, field, nvars):
         terms = {m: field.from_int(rng.randint(-2, 2)) for m in monomials_of_degree(nvars, d)}
         gens.append(Polynomial(field, nvars, terms))
     return Ideal.make(field, nvars, gens)
+
+
+RATIONALS = tuple(Fraction(t) for t in ("1/2", "-3/5", "2/7", "-1", "5/3", "-7/4", "10000000000000000000/3"))
+
+
+def test_macaulay_and_groebner_agree_on_rational_coefficients():
+    # most coefficients are not integers, so the Macaulay rows have their
+    # denominators cleared before they are reduced; the last generator is a
+    # rational combination of two others, which only exact rows keep in
+    # their span
+    rng = random.Random("paths:rational")
+    outcomes = set()
+    for _ in range(40):
+        nvars, d = rng.randint(2, 3), rng.randint(2, 3)
+        gens = [
+            Polynomial.from_monomial(Q_FIELD, nvars, Monomial.variable(v, 3), rng.choice(RATIONALS))
+            for v in range(1, nvars + 1)
+        ]
+        for _ in range(2):
+            mons = rng.sample(monomials_of_degree(nvars, d), 3)
+            gens.append(Polynomial(Q_FIELD, nvars, {m: rng.choice(RATIONALS) for m in mons}))
+        a, b = gens[-2:]
+        gens.append(a.scale(rng.choice(RATIONALS)).add(b.scale(rng.choice(RATIONALS))))
+        ideal = Ideal.make(Q_FIELD, nvars, gens)
+        assert quotient_dimension_macaulay(ideal) == quotient_dimension(ideal)
+        pool = [m for e in range(4) for m in monomials_of_degree(nvars, e)]
+        for _ in range(3):
+            cand = rng.sample(pool, rng.randint(1, min(len(pool), 6)))
+            mac = monomials_independent_in_quotient(ideal, cand, "macaulay")
+            assert mac == monomials_independent_in_quotient(ideal, cand, "groebner")
+            outcomes.add(mac[0])
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("field", (GF2_FIELD, GFp(3), Q_FIELD), ids=lambda F: F.name)
