@@ -34,7 +34,7 @@ from .incidence import basis_is_nonsingular, fundamental_rows
 from .linalg import Matrix
 from .matroids import Matroid, matroid_from_json
 from .polynomials import (
-    METHODS, Ideal, Monomial, Polynomial, _dense, groebner_basis,
+    METHODS, Ideal, Monomial, Polynomial, groebner_basis,
     monomials_independent_in_quotient, order_key, staircase,
 )
 
@@ -244,13 +244,11 @@ def candidate_monomials(matroid: Matroid, std: StandardOrdering) -> tuple:
             m = Monomial.variable(cob[0], len(C) - 1) if len(C) > 1 else Monomial.one()
         else:
             least = min(cob)
-            exps: dict = {}
+            exps = [0] * t
             for e in C:
                 j = position(e)
-                if j == least:
-                    continue
-                v = d[j - 1]
-                exps[v] = exps.get(v, 0) + 1
+                if j != least:
+                    exps[d[j - 1] - 1] += 1
             m = Monomial(exps)
         out.append((frozenset(C), m))
     return tuple(out)
@@ -264,7 +262,7 @@ def order_ideals(matroid: Matroid, std: StandardOrdering) -> tuple:
     acquires a pure-power generator (impossible for the standard
     construction, kept as a defensive guard)."""
     t = len(std.labels) - std.rank
-    return staircase((_dense(m, t) for _, m in candidate_monomials(matroid, std)), t)
+    return staircase((m for _, m in candidate_monomials(matroid, std)), t)
 
 
 # -- the basis decision --------------------------------------------------------

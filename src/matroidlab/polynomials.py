@@ -1,11 +1,12 @@
 """Exact multivariate polynomials, Groebner bases, and Artinian quotients.
 
-Variables are 1-based indices displayed as x1, x2, ...  Monomials are
-sparse (no zero exponents stored).  staircase is the one walk over the
-monomials outside a monomial ideal: engine.order_ideals feeds it the
-candidate monomials, standard_monomials the leading terms.  Two decision
-paths are kept deliberately separate; agreement between them is a tested
-invariant, never an assumption:
+Variables are 1-based indices displayed as x1, x2, ...  A Monomial is
+its dense exponent tuple with trailing zeros stripped, the one format of
+candidates, staircases, Macaulay columns and Buchberger terms.  staircase
+is the one walk over the monomials outside a monomial ideal:
+engine.order_ideals feeds it the candidate monomials, standard_monomials
+the leading terms.  Two decision paths are kept deliberately separate;
+agreement between them is a tested invariant, never an assumption:
 
 - Macaulay: dense linear algebra one degree at a time.  A _MacaulaySlice
   holds the rows of J_d (homogeneous generators only) in one RowSpace and
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
-from operator import le
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .errors import BadParams, NotArtinian
@@ -38,74 +39,72 @@ METHODS = ("macaulay", "groebner", "both")
 
 
 class Monomial:
-    """Sparse monomial: sorted tuple of (variable, exponent), exponents > 0,
-    with its total degree computed once."""
+    """x1^e1 x2^e2 ... xk^ek as its dense exponent tuple exps = (e1, ..., ek),
+    trailing zeros stripped, so one monomial has one tuple whatever the
+    number of variables around it; its total degree is computed once.
+
+    Stripped tuples compare as their zero-padded forms do.  Equal padded
+    forms strip to one tuple.  If neither tuple is a prefix of the other,
+    both comparisons stop at the same first difference.  If a is a proper
+    prefix of b, Python puts a first, and so do the padded forms: b ends in
+    a positive exponent, so their first difference is a positive entry of b
+    against a zero of a.  So exps is the lex key and (degree, exps) the
+    grlex key, x1 > x2 > ... (order_key).  Different lengths are the trap
+    of every pairwise operation: zip stops at the shorter tuple.
+    """
 
     __slots__ = ("exps", "_degree")
 
     def __init__(self, exps=()):
-        items = exps.items() if isinstance(exps, dict) else exps
-        clean = tuple(sorted((int(v), int(a)) for v, a in items if a))
-        if any(v < 1 or a < 0 for v, a in clean):
-            raise BadParams(f"bad monomial data {clean}")
-        self.exps = clean
-        self._degree = sum(a for _, a in clean)
-
-    @classmethod
-    def _trusted(cls, exps: tuple, degree: int) -> "Monomial":
-        """From (variable, exponent) pairs already sorted by variable, every
-        variable >= 1 and every exponent > 0, and their exponent sum: no
-        re-sorting, no validation."""
-        m = object.__new__(cls)
-        m.exps = exps
-        m._degree = degree
-        return m
+        exps = tuple(map(int, exps))
+        if exps and min(exps) < 0:
+            raise BadParams(f"bad monomial exponents {exps}")
+        k = len(exps)
+        while k and not exps[k - 1]:
+            k -= 1
+        self.exps = exps[:k]
+        self._degree = sum(exps)
 
     @classmethod
     def one(cls) -> "Monomial":
-        return cls(())
+        return cls()
 
     @classmethod
     def variable(cls, v: int, power: int = 1) -> "Monomial":
-        return cls(((v, power),))
+        if v < 1:
+            raise BadParams(f"no variable x{v}: variables start at x1")
+        return cls((0,) * (v - 1) + (power,))
 
     def degree(self) -> int:
         return self._degree
 
     def exponent(self, v: int) -> int:
-        for w, a in self.exps:
-            if w == v:
-                return a
-        return 0
+        return self.exps[v - 1] if 0 < v <= len(self.exps) else 0
 
     def mul(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, a in other.exps:
-            d[v] = d.get(v, 0) + a
-        return Monomial._trusted(tuple(sorted(d.items())), self._degree + other._degree)
+        a, b = self.exps, other.exps
+        if len(a) < len(b):
+            a, b = b, a
+        return Monomial(tuple(map(add, a, b)) + a[len(b):])
 
     def divides(self, other: "Monomial") -> bool:
-        od = dict(other.exps)
-        return all(od.get(v, 0) >= a for v, a in self.exps)
+        a, b = self.exps, other.exps
+        return len(a) <= len(b) and all(map(le, a, b))
 
     def div(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, a in other.exps:
-            r = d.get(v, 0) - a
-            if r < 0:
-                raise BadParams(f"{other} does not divide {self}")
-            d[v] = r
-        return Monomial(d)
+        if not other.divides(self):
+            raise BadParams(f"{other} does not divide {self}")
+        a, b = self.exps, other.exps
+        return Monomial(tuple(map(sub, a, b)) + a[len(b):])
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, a in other.exps:
-            d[v] = max(d.get(v, 0), a)
-        return Monomial(d)
+        a, b = self.exps, other.exps
+        if len(a) < len(b):
+            a, b = b, a
+        return Monomial(tuple(map(max, a, b)) + a[len(b):])
 
     def is_coprime(self, other: "Monomial") -> bool:
-        mine = {v for v, _ in self.exps}
-        return not any(v in mine for v, _ in other.exps)
+        return not any(map(min, self.exps, other.exps))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -117,49 +116,42 @@ class Monomial:
         return f"Monomial({self.show()})"
 
     def show(self) -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for v, a in self.exps:
-            parts.append(f"x{v}" if a == 1 else f"x{v}^{a}")
-        return " ".join(parts)
+        return " ".join(
+            f"x{v}" if a == 1 else f"x{v}^{a}" for v, a in enumerate(self.exps, 1) if a
+        ) or "1"
 
     @classmethod
     def parse(cls, text: str) -> "Monomial":
         text = text.strip()
         if text == "1":
             return cls.one()
-        d: dict = {}
+        exps: list = []
         for tok in text.split():
             m = re.fullmatch(r"x(\d+)(?:\^(\d+))?", tok)
-            if not m:
+            if not m or int(m.group(1)) < 1:
                 raise BadParams(f"bad monomial token {tok!r}")
             v = int(m.group(1))
-            a = int(m.group(2) or 1)
-            d[v] = d.get(v, 0) + a
-        return cls(d)
-
-
-def _dense(m: Monomial, nvars: int) -> tuple:
-    out = [0] * nvars
-    for v, a in m.exps:
-        if v > nvars:
-            raise BadParams(f"monomial {m.show()} uses a variable beyond x{nvars}")
-        out[v - 1] = a
-    return tuple(out)
+            exps += [0] * (v - len(exps))
+            exps[v - 1] += int(m.group(2) or 1)
+        return cls(exps)
 
 
 def order_key(order: str, nvars: int):
-    """Sort key: larger key = larger monomial.  x1 > x2 > ... throughout."""
+    """Sort key: larger key = larger monomial.  x1 > x2 > ... throughout.
+
+    The lex key pads exps to nvars: _Index negates keys for the Buchberger
+    heap, and negation does not reverse the order of a tuple and its proper
+    prefix (x1 < x1 x2, yet (-1,) < (-1, -1)).  The grlex key need not pad:
+    a proper prefix has the smaller degree, so equal degrees never compare a
+    tuple with its proper prefix.
+    """
+    zeros = (0,) * nvars
     if order == "lex":
-        return lambda m: _dense(m, nvars)
+        return lambda m: m.exps + zeros[len(m.exps):]
     if order == "grlex":
-        return lambda m: (m.degree(), _dense(m, nvars))
+        return lambda m: (m._degree, m.exps)
     if order == "grevlex":
-        return lambda m: (
-            m.degree(),
-            tuple(-e for e in reversed(_dense(m, nvars))),
-        )
+        return lambda m: (m._degree, tuple(-e for e in reversed(m.exps + zeros[len(m.exps):])))
     raise BadParams(f"unknown monomial order {order!r}")
 
 
@@ -183,7 +175,7 @@ class Polynomial:
                     acc[m] = s
             else:
                 acc[m] = c
-        bad = [m for m in acc if m.exps and m.exps[-1][0] > nvars]
+        bad = [m for m in acc if len(m.exps) > nvars]
         if bad:
             raise BadParams(f"monomial {bad[0].show()} uses a variable beyond x{nvars}")
         self.field = field
@@ -467,20 +459,21 @@ def groebner_basis(ideal: Ideal, order: str = "grlex") -> tuple:
 
 def staircase(gens, nvars: int) -> tuple:
     """(minimal generators, members) of the monomial ideal generated by the
-    dense exponent tuples `gens` in nvars variables: its minimal generators
-    and the monomials outside it, each a frozenset of Monomials.  Raises
-    NotArtinian, naming the first variable with no pure power among the
-    generators, when infinitely many monomials lie outside.
+    Monomials `gens` in nvars variables: its minimal generators and the
+    monomials outside it, each a frozenset of Monomials.  Raises BadParams
+    for a generator in a variable past the first nvars, and NotArtinian,
+    naming the first variable with no pure power among the generators, when
+    infinitely many monomials lie outside.
 
     The generators are minimised in order of degree: a proper divisor has a
-    smaller degree, so it is kept before the tuples it divides.  The walk
+    smaller degree, so it is kept before the monomials it divides.  The walk
     sets x1, x2, ..., xn in turn and skips work in two ways, neither of
     which loses a member:
     - a generator g is tested only when its last variable v (the largest
-      with a positive exponent) is set.  Whether g divides a monomial
-      depends only on its exponents of x1..xv, which are all fixed at that
-      point and never change below it, so one test at v decides g for every
-      completion of the prefix;
+      with a positive exponent, len(g.exps)) is set.  Whether g divides a
+      monomial depends only on its exponents of x1..xv, which are all fixed
+      at that point and never change below it, so one test at v decides g
+      for every completion of the prefix;
     - with x1..x(v-1) fixed, a generator indexed at v divides the prefix
       times xv^a exactly when its other exponents divide the prefix and a
       reaches its exponent of xv.  So the divisible a form an up-set, and
@@ -488,44 +481,34 @@ def staircase(gens, nvars: int) -> tuple:
       indexed at v, so the loop never runs past it.
     """
     mins: list = []
-    for c in sorted(set(gens), key=sum):
-        if not any(all(map(le, g, c)) for g in mins):
-            mins.append(c)
-    trusted = Monomial._trusted
-    upper = frozenset(
-        trusted(tuple((i + 1, a) for i, a in enumerate(g) if a), sum(g)) for g in mins
-    )
-    if mins and not any(mins[0]):  # the unit ideal: nothing lies outside it
+    for g in sorted(set(gens), key=Monomial.degree):
+        if len(g.exps) > nvars:
+            raise BadParams(f"monomial {g.show()} uses a variable beyond x{nvars}")
+        if not any(m.divides(g) for m in mins):
+            mins.append(g)
+    upper = frozenset(mins)
+    if mins and not mins[0].exps:  # the unit ideal: nothing lies outside it
         return upper, frozenset()
-    # at[v]: (exponent of xv, other (index, exponent) pairs) per generator ending at xv
+    # at[v]: (exponent of xv, exponents of x1..x(v-1)) per generator ending at xv
     at: list = [[] for _ in range(nvars + 1)]
     for g in mins:
-        support = [i for i, a in enumerate(g) if a]
-        last = support[-1]
-        at[last + 1].append((g[last], tuple((i, g[i]) for i in support[:-1])))
+        at[len(g.exps)].append((g.exps[-1], g.exps[:-1]))
     for v in range(1, nvars + 1):
-        if all(rest for _, rest in at[v]):
+        if all(any(rest) for _, rest in at[v]):
             raise NotArtinian(f"no pure power of x{v} among the generators", v)
-    exps = [0] * nvars
     out = []
 
-    def limit(v: int) -> int:
-        return min(a for a, rest in at[v] if all(exps[i] >= b for i, b in rest))
-
-    def rec(v: int, prefix: tuple, degree: int):
-        stop = limit(v)
+    def rec(prefix: tuple):
+        v = len(prefix) + 1
+        stop = min(a for a, rest in at[v] if all(map(le, rest, prefix)))
         if v == nvars:
-            out.append(trusted(prefix, degree))
-            out.extend(trusted(prefix + ((v, a),), degree + a) for a in range(1, stop))
-            return
-        rec(v + 1, prefix, degree)
-        for a in range(1, stop):
-            exps[v - 1] = a
-            rec(v + 1, prefix + ((v, a),), degree + a)
-        exps[v - 1] = 0
+            out.extend(Monomial(prefix + (a,)) for a in range(stop))
+        else:
+            for a in range(stop):
+                rec(prefix + (a,))
 
     if nvars:
-        rec(1, (), 0)
+        rec(())
     else:
         out.append(Monomial.one())
     return upper, frozenset(out)
@@ -543,7 +526,7 @@ def standard_monomials(gb, nvars: int, order: str = "grlex") -> tuple:
     leading monomials (infinitely many standard monomials).
     """
     key = order_key(order, nvars)
-    _, members = staircase([_dense(g.leading(key)[0], nvars) for g in gb], nvars)
+    _, members = staircase([g.leading(key)[0] for g in gb], nvars)
     return tuple(sorted(members, key=key))
 
 
@@ -560,16 +543,16 @@ def quotient_dimension(ideal: Ideal, order: str = "grlex") -> tuple:
 
 
 def monomials_of_degree(nvars: int, d: int) -> tuple:
-    """All degree-d monomials, descending in grlex order (column order)."""
-    key = order_key("grlex", nvars)
-    if d == 0:
-        return (Monomial.one(),)
-    out = [
-        Monomial({v: picks.count(v) for v in set(picks)})
-        for picks in combinations_with_replacement(range(1, nvars + 1), d)
-    ]
-    out.sort(key=key, reverse=True)
-    return tuple(out)
+    """All degree-d monomials, descending in grlex order (column order).
+
+    combinations_with_replacement yields the sorted picks in ascending lex
+    order.  At the first position where two pick lists differ, the smaller
+    one picks a variable that the larger one uses less often, and both use
+    every earlier variable equally, so its exponent tuple is the larger."""
+    return tuple(
+        Monomial(map(picks.count, range(nvars)))
+        for picks in combinations_with_replacement(range(nvars), d)
+    )
 
 
 class _MacaulaySlice:

@@ -389,7 +389,8 @@ def _random_ideal(rng: random.Random, field, nvars: int) -> tuple:
             for a in range(degs[j])
         ]
     k = rng.randint(1, len(box))
-    cand = rng.sample(sorted(box, key=lambda m: m.exps), k)
+    # the draw is pinned to the (variable, exponent)-pair order of the box
+    cand = rng.sample(sorted(box, key=lambda m: [(v, a) for v, a in enumerate(m.exps, 1) if a]), k)
     return Ideal.make(field, nvars, gens), cand
 
 

@@ -137,12 +137,30 @@ def test_gen_list(capsys):
 
 # sha256 of stdout; the matrices these print depend on every row operation
 # of the pivot steps, standard forms and RREFs behind them
+# (gen arguments of the input, or None; argv; exit code; sha256 of stdout)
 PINNED_OUTPUT = (
-    (None, ["gen", "theta", "3,4"], "4b0c6a8d5622aa51eabb94202deb5341f82a92781eb311ef2df0907c0d6c8b31"),
-    (None, ["gen", "phi", "2,3,2"], "ff1aa9f09a77686f106fc65c5dafc78b1fefdfd046560f36f0e578f0511bfec4"),
-    ("dualk33", ["lsop", "--field", "q"], "75958812eafe0192d5f3404547622e1473f0a397ff96706e5439eea1f7c18c95"),
-    ("dualk33", ["lsop", "--field", "gf3"], "8f43c529507b5215992fa1728062de26d4bc2018d0d46edb58db50477c21cb5c"),
-    ("k33", ["nbc", "check", "--field", "q"], "22d80f74d773138dbbb3b2e0b98b2d5e39ad831b3465cb3dcefa687e044328f8"),
+    (None, ["gen", "theta", "3,4"], 0, "4b0c6a8d5622aa51eabb94202deb5341f82a92781eb311ef2df0907c0d6c8b31"),
+    (None, ["gen", "phi", "2,3,2"], 0, "ff1aa9f09a77686f106fc65c5dafc78b1fefdfd046560f36f0e578f0511bfec4"),
+    (["named", "dualk33"], ["lsop", "--field", "q"], 0,
+     "75958812eafe0192d5f3404547622e1473f0a397ff96706e5439eea1f7c18c95"),
+    (["named", "dualk33"], ["lsop", "--field", "gf3"], 0,
+     "8f43c529507b5215992fa1728062de26d4bc2018d0d46edb58db50477c21cb5c"),
+    (["named", "k33"], ["nbc", "check", "--field", "q"], 0,
+     "22d80f74d773138dbbb3b2e0b98b2d5e39ad831b3465cb3dcefa687e044328f8"),
+    # the monomial layer: staircases in both term orders, both decision paths,
+    # the lower-ideal walk of a sampled search and criterion 8's seeded draw
+    (["named", "dualk33"], ["lsop", "--field", "q", "--standard-monomials"], 0,
+     "89eecb8b44f44be7cad94b94f7446dc2e5ec086266378ed235a881b6ffedbc89"),
+    (["named", "dualk33"], ["lsop", "--field", "gf3", "--standard-monomials", "--order", "lex"], 0,
+     "51a03982792b4cf6afe35b1b818acf4202514d8c5516c43d7dd552e4ba807427"),
+    (["named", "k33"], ["nbc", "check", "--field", "q", "--method", "both"], 0,
+     "22d80f74d773138dbbb3b2e0b98b2d5e39ad831b3465cb3dcefa687e044328f8"),
+    (["theta", "4,4,4"], ["nbc", "check", "--field", "q", "--method", "both"], 0,
+     "b651e0a901e1d854857e6fdac1e6f41ed046a13d49f7c7500e08b01232da5dfe"),
+    (["named", "r10"], ["nbc", "search", "--field", "gf2", "--policy", "sample:200:1"], 1,
+     "21f92a1ebdf5982a7f3ca910eea7f791dc8cea76249a115d573a7727b289012e"),
+    (None, ["verify", "paper", "--criterion", "8"], 0,
+     "8245a6ad31e220b5ccd1503fdf88c43d57f765e9eb4d76f5c4cf4b53737b62f5"),
 )
 
 
@@ -159,13 +177,18 @@ def test_byte_stable_output(tmp_path, capsys):
         runs.append(out)
     assert runs[0] == runs[1]
     assert runs[0].endswith("\n")
-    for named, argv, digest in PINNED_OUTPUT:
-        if named is not None:
-            _, gen, _ = run(["gen", "named", named], capsys)
-            (tmp_path / named).write_text(gen)
-            argv = argv + ["--input", str(tmp_path / named)]
+
+
+def test_pinned_output(tmp_path, capsys):
+    for source, argv, expected, digest in PINNED_OUTPUT:
+        if source is not None:
+            code, gen, _ = run(["gen", *source], capsys)
+            assert code == 0, source
+            path = tmp_path / "_".join(source)
+            path.write_text(gen)
+            argv = argv + ["--input", str(path)]
         code, out, _ = run(argv, capsys)
-        assert code == 0
+        assert code == expected, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 

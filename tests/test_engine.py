@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from itertools import product
@@ -277,6 +278,50 @@ def test_checkpoint_roundtrip(tmp_path):
         search_orderings(m, Q_FIELD, policy="exhaustive", checkpoint_path=path)
 
 
+def _run_keeping_checkpoints(monkeypatch, m, policy, workers, path):
+    """The uninterrupted report, and the text of every checkpoint written
+    along the way."""
+    saved = []
+    save = engine._save_checkpoint
+
+    def keep(*args):
+        save(*args)
+        with open(args[0]) as fh:
+            saved.append(fh.read())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_save_checkpoint", keep)
+        full = search_orderings(
+            m, GF2_FIELD, policy=policy, workers=workers,
+            checkpoint_path=path, checkpoint_every=40,
+        )
+    return full, saved
+
+
+def test_resume_across_worker_counts(tmp_path, monkeypatch):
+    # a checkpoint taken mid-run by one worker count is resumed by the other;
+    # the one taken must already hold a basis, so first_basis carries over
+    m = named_matroid("dualk33")
+    policy = "sample:200:3"
+    reports = {}
+    for before, after in ((1, 2), (2, 1)):
+        full, saved = _run_keeping_checkpoints(
+            monkeypatch, m, policy, before, os.fspath(tmp_path / f"full{before}.json"))
+        reports[before] = full
+        mid = next(
+            text for text in saved
+            if json.loads(text)["tallies"]["basis"] and json.loads(text)["cursor"] < full.checked
+        )
+        path = tmp_path / f"resume{before}.json"
+        path.write_text(mid)
+        resumed = search_orderings(
+            m, GF2_FIELD, policy=policy, workers=after, checkpoint_path=os.fspath(path),
+        )
+        for field in ("checked", "tallies", "basis_indices", "first_basis", "completed"):
+            assert getattr(resumed, field) == getattr(full, field), (before, after, field)
+    assert reports[1] == reports[2]
+
+
 def test_worker_builds_the_matroid_once(monkeypatch):
     calls = []
     build = engine.matroid_from_json
@@ -318,7 +363,7 @@ def test_order_ideals_match_brute_force():
             dense = [tuple(c.exponent(v) for v in range(1, t + 1)) for c in cands]
             top = max(c.degree() for c in cands)
             want = {
-                Monomial({v + 1: a for v, a in enumerate(e)})
+                Monomial(e)
                 for e in product(range(top + 1), repeat=t)
                 if not any(all(x <= y for x, y in zip(c, e)) for c in dense)
             }

@@ -13,6 +13,7 @@ from matroidlab.polynomials import (
     METHODS,
     Monomial,
     Polynomial,
+    _descending,
     groebner_basis,
     minimal_generators,
     monomial_set_is_basis,
@@ -52,8 +53,11 @@ def test_monomial_basics():
     assert X.is_coprime(Y) and not X.is_coprime(XY)
     with pytest.raises(BadParams):
         Y.div(X)
+    for bad in ("z2", "x0", "x0^2"):
+        with pytest.raises(BadParams):
+            Monomial.parse(bad)
     with pytest.raises(BadParams):
-        Monomial.parse("z2")
+        Monomial.variable(0)
 
 
 def test_order_keys():
@@ -66,14 +70,60 @@ def test_order_keys():
         order_key("mystery", 2)
 
 
+def test_monomial_matches_padded_reference():
+    # the reference: exponent lists zero-padded to one common length, so no
+    # operation on it meets tuples of different lengths; the inputs mix
+    # lengths and carry explicit trailing zeros
+    rng = random.Random(2718)
+    width = 7
+    vecs = [[0, 0, 1], [1], [0, 1], [1, 0, 0], [], [0, 0]]
+    for _ in range(40):
+        vecs.append([rng.randint(0, 3) for _ in range(rng.randint(0, 5))] + [0] * rng.randint(0, 2))
+
+    def padded(e):
+        return tuple(e) + (0,) * (width - len(e))
+
+    keys = {order: order_key(order, width) for order in ("lex", "grlex", "grevlex")}
+    ref_keys = {
+        "lex": lambda p: p,
+        "grlex": lambda p: (sum(p), p),
+        "grevlex": lambda p: (sum(p), tuple(-e for e in reversed(p))),
+    }
+    for ea in vecs:
+        a, pa = Monomial(ea), padded(ea)
+        assert a == Monomial(pa) and hash(a) == hash(Monomial(pa))
+        assert a.degree() == sum(pa)
+        assert [a.exponent(v) for v in range(width + 1)] == [0, *pa]
+        assert Monomial.parse(a.show()) == a
+        for eb in vecs:
+            b, pb = Monomial(eb), padded(eb)
+            divides = all(x <= y for x, y in zip(pa, pb))
+            assert a.divides(b) == divides, (ea, eb)
+            assert a.mul(b) == Monomial([x + y for x, y in zip(pa, pb)])
+            assert a.lcm(b) == Monomial([max(x, y) for x, y in zip(pa, pb)])
+            assert a.is_coprime(b) == all(min(x, y) == 0 for x, y in zip(pa, pb))
+            if divides:
+                assert b.div(a) == Monomial([y - x for x, y in zip(pa, pb)])
+            else:
+                with pytest.raises(BadParams):
+                    b.div(a)
+            for order, key in keys.items():
+                ref = ref_keys[order]
+                assert (key(a) < key(b)) == (ref(pa) < ref(pb)), (order, ea, eb)
+                # the Buchberger heap pops the largest monomial first
+                assert (_descending(key(a)) < _descending(key(b))) == (ref(pb) < ref(pa))
+
+
 def test_monomials_of_degree():
     assert monomials_of_degree(2, 0) == (Monomial.one(),)
     assert monomials_of_degree(0, 0) == (Monomial.one(),)
     assert monomials_of_degree(0, 3) == ()
-    deg2 = monomials_of_degree(2, 2)
-    assert set(deg2) == {X2, XY, Y2}
-    key = order_key("grlex", 2)
-    assert list(deg2) == sorted(deg2, key=key, reverse=True)
+    assert set(monomials_of_degree(2, 2)) == {X2, XY, Y2}
+    for nvars in range(5):
+        grlex = order_key("grlex", nvars)
+        for d in range(5):
+            every = {Monomial(e) for e in product(range(d + 1), repeat=nvars) if sum(e) == d}
+            assert monomials_of_degree(nvars, d) == tuple(sorted(every, key=grlex, reverse=True))
 
 
 def test_polynomial_arithmetic():
@@ -219,7 +269,7 @@ def _brute_staircase(gb, nvars, order):
     key = order_key(order, nvars)
     leads = [g.leading(key)[0] for g in gb]
     top = max(m.degree() for m in leads)
-    box = (Monomial(dict(enumerate(e, 1))) for e in product(range(top + 1), repeat=nvars))
+    box = (Monomial(e) for e in product(range(top + 1), repeat=nvars))
     return tuple(sorted((m for m in box if not any(l.divides(m) for l in leads)), key=key))
 
 
@@ -247,9 +297,9 @@ def test_minimal_generators():
     # the staircase keeps the same generators, and with x2^2 added the
     # monomials below them are 1, x1 and x2
     with pytest.raises(NotArtinian) as no_x2:
-        staircase([(2, 0), (2, 1), (1, 1), (2, 2)], 2)
+        staircase(map(Monomial, [(2, 0), (2, 1), (1, 1), (2, 2)]), 2)
     assert no_x2.value.witness_variable == 2
-    assert staircase([(2, 0), (2, 1), (1, 1), (2, 2), (0, 2), (1, 1)], 2) == (
+    assert staircase(map(Monomial, [(2, 0), (2, 1), (1, 1), (2, 2), (0, 2), (1, 1)]), 2) == (
         gens | {Y2}, frozenset({Monomial.one(), X, Y}))
 
 
@@ -257,7 +307,7 @@ def _to_sympy(p, xs, sympy):
     total = sympy.Integer(0)
     for mono, coeff in p.terms.items():
         term = sympy.Rational(p.field.show(coeff))
-        for v, a in mono.exps:
+        for v, a in enumerate(mono.exps, 1):
             term *= xs[v - 1] ** a
         total += term
     return sympy.expand(total)
