@@ -170,7 +170,15 @@ def lsop(
 ) -> ThetaSystem:
     """Build the linear system and eliminated ideal; optionally check the
     facet-rank criterion (every facet's column set nonsingular), which for
-    a quotient by rank-many linear forms decides finite-dimensionality."""
+    a quotient by rank-many linear forms decides finite-dimensionality
+    (Kind-Kleinschmidt 1979).
+
+    Only GF(2) walks the facets.  Elsewhere the rows are a standard form of
+    representation_over(field) (the source matrix, a signed incidence or
+    uniform matrix, or a certified TU signing), whose column matroid is M,
+    and each facet is a basis (no circuit, size rank), so none is singular.
+    Over GF(2) the rows are the oracle's and represent M only if M is binary.
+    """
     n = len(std.labels)
     r = std.rank
     t = n - r
@@ -206,15 +214,11 @@ def lsop(
             p = p.term_mul(Monomial.variable(j)) if j <= t else p.mul(substitution[j])
         gens.append((frozenset(C), p))
     ideal = Ideal.make(F, t, [p for _, p in gens])
-    valid = None
-    bad = None
+    valid = bad = None
     if validate:
-        valid = True
-        for facet in bc_facets(matroid, std.ordering):
-            if not basis_is_nonsingular(matroid, cm, facet):
-                valid = False
-                bad = facet
-                break
+        facets = bc_facets(matroid, std.ordering) if F.char == 2 else ()
+        bad = next((f for f in facets if not basis_is_nonsingular(matroid, cm, f)), None)
+        valid = bad is None
     return ThetaSystem(std, F, cm, tuple(forms), substitution, tuple(gens), ideal, valid, bad)
 
 

@@ -1,18 +1,22 @@
 """Signed circuit and cocircuit incidence matrices.
 
 Rows are indexed by circuits or cocircuits, columns by ground set elements
-in a chosen ordering.  Over characteristic 2 the matrices are plain 0/1
-incidence indicators and need no representation; over other fields the
-entries come from a representation and must land in {-1, 0, +1}, else the
-construction raises NotRegular.
+in a chosen ordering.  Every signed row comes from fundamental_rows, the
+standard form on a basis B: row b is the fundamental cocircuit C*(B, b)
+and column e, negated and with 1 at e, the fundamental circuit C(B, e).
+Every circuit C is C(B, e) for any basis B containing C - e, every
+cocircuit D is C*(B, b) for any basis B with B & D = {b} (Oxley, Matroid
+Theory, 2011, ch. 2), and a signed (co)circuit vector is unique up to
+scale, so there is no other source.
 
-fundamental_rows is the one builder of the fundamental cocircuit rows of a
-basis, which the engine's linear system and fundamental_matrices share.
-Over GF(2) it reads them off the independence oracle.  That is sound
-because a GF(2) row is its support and the standard form of any binary
-representation on B has row b supported exactly on the fundamental
-cocircuit C*(B, b).  A matroid with no binary representation gets the same
-oracle rows; they are what a representation-free reading always gave it.
+Over GF(2) fundamental_rows reads the rows off the independence oracle, so
+the matrices are 0/1 incidence indicators and need no representation.
+That is sound because a GF(2) row is its support and the standard form of
+any binary representation on B has row b supported exactly on C*(B, b).
+A matroid with no binary representation gets the same oracle rows; they
+are what a representation-free reading always gave it.  Over other fields
+the entries come from representation_over(field) and must land in
+{-1, 0, +1}, else the construction raises NotRegular.
 
 Sign conventions are fixed so identical inputs give identical matrices:
 the cocircuit rows attached to a basis are the rows of the standard form
@@ -59,25 +63,6 @@ def _split_ordering(matroid: Matroid, ordering) -> tuple:
     return labels, cobasis, basis
 
 
-def _permuted_representation(matroid: Matroid, field: Field, labels) -> Matrix:
-    rep = matroid.representation_over(field)
-    pos = {lab: j for j, lab in enumerate(rep.col_labels)}
-    return rep.select_columns([pos[lab] for lab in labels])
-
-
-def _guard_signs(m: Matrix, field: Field, what: str) -> None:
-    allowed = {field.zero(), field.one(), field.neg(field.one())}
-    for row in m.entries:
-        for x in row:
-            if x not in allowed:
-                raise NotRegular(f"{what} entry {field.show(x)} outside 0,+1,-1")
-
-
-def _indicator(field: Field, labels, subset) -> list:
-    o, z = field.one(), field.zero()
-    return [o if lab in subset else z for lab in labels]
-
-
 def fundamental_rows(matroid: Matroid, basis, field: Field) -> dict:
     """Signed fundamental cocircuit rows of a basis: {b: {label: coeff}}.
 
@@ -99,8 +84,8 @@ def fundamental_rows(matroid: Matroid, basis, field: Field) -> dict:
     what they are worth.
 
     Other fields: the rows are read off the standard form of
-    representation_over(field); an entry outside {0, +1, -1} raises
-    NotRegular.
+    representation_over(field), even at rank 0, where it has no rows; an
+    entry outside {0, +1, -1} raises NotRegular.
     """
     bset = frozenset(basis)
     key = ("fund_rows", field.name, bset)
@@ -114,13 +99,14 @@ def fundamental_rows(matroid: Matroid, basis, field: Field) -> dict:
             if e not in bset:
                 for b in matroid.fundamental_circuit(bset, e) - {e}:
                     rows[b][e] = one
-    elif not bset:
-        rows = {}
     else:
         rep = matroid.representation_over(field)
         labels = rep.col_labels
         sf = rep.standard_form([j for j, lab in enumerate(labels) if lab in bset])
-        _guard_signs(sf, field, "fundamental cocircuit")
+        allowed = {z, one, field.neg(one)}
+        bad = next((x for row in sf.entries for x in row if x not in allowed), None)
+        if bad is not None:
+            raise NotRegular(f"fundamental cocircuit entry {field.show(bad)} outside 0,+1,-1")
         basis_cols = [lab for lab in labels if lab in bset]
         rows = {
             b: {lab: x for lab, x in zip(labels, row) if x != z}
@@ -130,136 +116,110 @@ def fundamental_rows(matroid: Matroid, basis, field: Field) -> dict:
     return rows
 
 
+def _circuit_row(field: Field, rows: dict, e, labels) -> list:
+    """C(B, e) off rows = fundamental_rows(B): 1 at e, -rows[b][e] at each b."""
+    z = field.zero()
+    return [
+        field.one() if lab == e else field.neg(rows[lab].get(e, z)) if lab in rows else z
+        for lab in labels
+    ]
+
+
+def _check_support(field: Field, labels, row, want) -> None:
+    supp = frozenset(lab for lab, x in zip(labels, row) if x != field.zero())
+    if supp != want:
+        raise AssertionError(f"row support {set(supp)} differs from {set(want)}")
+
+
 def fundamental_matrices(
     matroid: Matroid, ordering, field: Field, validate: bool = True
 ) -> FundamentalMatrices:
     """Signed fundamental circuit/cocircuit incidence for the ordering's basis.
 
-    The cocircuit rows come from fundamental_rows; the circuit row of a
-    cobasis element e has 1 at e and -A[b][e] at each basis element b,
-    which makes the two matrices orthogonal.  With validate, the supports
-    over a field of characteristic other than 2 (where the rows come from a
-    representation) are checked against the independence oracle.
+    The cocircuit rows come from fundamental_rows, the circuit rows from
+    _circuit_row on the same rows, which makes the two matrices orthogonal.
+    With validate, the supports over a field of characteristic other than 2
+    (where the rows come from a representation) are checked against the
+    independence oracle.
     """
     labels, cobasis, basis = _split_ordering(matroid, ordering)
     F = field
-    z, o = F.zero(), F.one()
+    z = F.zero()
     rows = fundamental_rows(matroid, basis, F)
     coc_rows = [[rows[b].get(lab, z) for lab in labels] for b in basis]
-    circ_rows = [
-        [o if lab == e else F.neg(rows[lab].get(e, z)) if lab in rows else z for lab in labels]
-        for e in cobasis
-    ]
+    circ_rows = [_circuit_row(F, rows, e, labels) for e in cobasis]
     cm = Matrix(F, circ_rows, col_labels=labels, row_labels=cobasis) \
         if circ_rows else Matrix(F, [], col_labels=labels)
     dm = Matrix(F, coc_rows, col_labels=labels, row_labels=basis) \
         if coc_rows else Matrix(F, [], col_labels=labels)
     if validate and F.char != 2:
         bset = frozenset(basis)
-        for m, names, oracle in (
-            (cm, cobasis, matroid.fundamental_circuit),
-            (dm, basis, matroid.fundamental_cocircuit),
-        ):
-            for name, row in zip(names, m.entries):
-                supp = frozenset(lab for lab, x in zip(labels, row) if x != z)
-                want = oracle(bset, name)
-                if supp != want:
-                    raise AssertionError(f"support mismatch at {name}: {supp} vs {want}")
+        for e, row in zip(cobasis, circ_rows):
+            _check_support(F, labels, row, matroid.fundamental_circuit(bset, e))
+        for b, row in zip(basis, coc_rows):
+            _check_support(F, labels, row, matroid.fundamental_cocircuit(bset, b))
     return FundamentalMatrices(labels, tuple(basis), tuple(cobasis), cm, dm)
 
 
-def _row_basis(rep: Matrix) -> Matrix:
-    """Same row space, full row rank (nonzero rows of the RREF)."""
-    R = rep.rref()
-    z = rep.field.zero()
-    rows = [r for r in R.entries if any(x != z for x in r)]
-    return Matrix(rep.field, rows, col_labels=rep.col_labels)
+def _full_matrix(matroid: Matroid, field: Field, ordering, elementary, row_of) -> Matrix:
+    """One row per set of elementary(): row_of(set, its least element,
+    labels), scaled to a leading +1 and checked to be supported on the set.
 
-
-def _normalize_row(field: Field, row) -> list:
-    z = field.zero()
-    lead = next((x for x in row if x != z), None)
-    if lead is None or lead == field.one():
-        return list(row)
-    inv = field.inv(lead)
-    return [field.mul(inv, x) for x in row]
-
-
-def _signed_circuit_row(rep: Matrix, labels, circuit, field: Field) -> list:
-    idx = [i for i, lab in enumerate(labels) if lab in circuit]
-    sub = rep.select_columns(idx)
-    ns = sub.null_space_basis()
-    if ns.nrows != 1:
-        raise AssertionError(f"circuit {set(circuit)} has nullity {ns.nrows} in the representation")
-    z = field.zero()
-    if any(x == z for x in ns.entries[0]):
-        raise AssertionError(f"null vector not fully supported on circuit {set(circuit)}")
-    row = [z] * len(labels)
-    for k, i in enumerate(idx):
-        row[i] = ns.entries[0][k]
-    return _normalize_row(field, row)
-
-
-def _signed_cocircuit_row(rep: Matrix, labels, cocircuit, field: Field) -> list:
-    out_idx = [i for i, lab in enumerate(labels) if lab not in cocircuit]
-    outside = rep.select_columns(out_idx) if out_idx else Matrix.zero(field, rep.nrows, 0)
-    if out_idx:
-        left = outside.transpose().null_space_basis()
-    else:
-        left = Matrix.identity(field, rep.nrows)
-    if left.nrows != 1:
-        raise AssertionError(
-            f"cocircuit {set(cocircuit)} complement has corank {left.nrows} in the row space"
-        )
-    y = Matrix(field, [left.entries[0]])
-    v = y.matmul(rep).entries[0]
-    z = field.zero()
-    supp = frozenset(lab for lab, x in zip(labels, v) if x != z)
-    if supp != frozenset(cocircuit):
-        raise AssertionError(f"cocircuit support mismatch: {supp} vs {set(cocircuit)}")
-    return _normalize_row(field, v)
+    Outside characteristic 2 the representation is asked for first, so a
+    matroid with none over the field raises NotRegular even with no
+    circuits.  Column e of a standard form is C(B, e)'s vector scaled by its
+    +-1 entry at e and row b is C*(B, b)'s, so a standard form leaves
+    {0, +1, -1} exactly when one of those vectors does: NotRegular is raised
+    exactly where a per-(co)circuit null-space solve would raise it.
+    """
+    labels = tuple(ordering) if ordering is not None else matroid.ground
+    if sorted(labels) != sorted(matroid.ground):
+        raise BadParams("ordering is not a permutation of the ground set")
+    sets = elementary()
+    if field.char != 2:
+        matroid.representation_over(field)
+    rows = []
+    for s in sets:
+        row = row_of(s, min(s, key=matroid.position.get), labels)
+        inv = field.inv(next(x for x in row if x != field.zero()))
+        rows.append([field.mul(inv, x) for x in row])
+        _check_support(field, labels, rows[-1], s)
+    names = ["{" + ",".join(sorted(c, key=matroid.position.get)) + "}" for c in sets]
+    return Matrix(field, rows, col_labels=labels, row_labels=names or None)
 
 
 def full_circuit_matrix(matroid: Matroid, field: Field, ordering=None) -> Matrix:
-    """One signed row per circuit, first nonzero entry +1, rows in circuit order."""
-    labels = tuple(ordering) if ordering is not None else matroid.ground
-    if sorted(labels) != sorted(matroid.ground):
-        raise BadParams("ordering is not a permutation of the ground set")
-    circuits = matroid.circuits()
-    names = ["{" + ",".join(sorted(c, key=matroid.position.get)) + "}" for c in circuits]
-    F = field
-    if F.char == 2:
-        rows = [_indicator(F, labels, c) for c in circuits]
-    else:
-        rep = _permuted_representation(matroid, F, labels)
-        rows = [_signed_circuit_row(rep, labels, c, F) for c in circuits]
-    if not rows:
-        return Matrix(F, [], col_labels=labels)
-    m = Matrix(F, rows, col_labels=labels, row_labels=names)
-    if F.char != 2:
-        _guard_signs(m, F, "circuit")
-    return m
+    """One signed row per circuit, first nonzero entry +1, rows in circuit order.
+
+    A circuit C with least element e is C(B, e) for B the greedy basis of
+    (C - e) + (E - C), which holds the independent C - e and misses e.
+    """
+
+    def row_of(c, e, labels):
+        ground = matroid.ground
+        basis = matroid._greedy_basis(
+            [x for x in ground if x in c and x != e] + [x for x in ground if x not in c]
+        )
+        return _circuit_row(field, fundamental_rows(matroid, basis, field), e, labels)
+
+    return _full_matrix(matroid, field, ordering, matroid.circuits, row_of)
 
 
 def full_cocircuit_matrix(matroid: Matroid, field: Field, ordering=None) -> Matrix:
-    """One signed row per cocircuit, first nonzero entry +1, rows in cocircuit order."""
-    labels = tuple(ordering) if ordering is not None else matroid.ground
-    if sorted(labels) != sorted(matroid.ground):
-        raise BadParams("ordering is not a permutation of the ground set")
-    cocircuits = matroid.cocircuits()
-    names = ["{" + ",".join(sorted(c, key=matroid.position.get)) + "}" for c in cocircuits]
-    F = field
-    if F.char == 2:
-        rows = [_indicator(F, labels, c) for c in cocircuits]
-    else:
-        rep = _row_basis(_permuted_representation(matroid, F, labels))
-        rows = [_signed_cocircuit_row(rep, labels, c, F) for c in cocircuits]
-    if not rows:
-        return Matrix(F, [], col_labels=labels)
-    m = Matrix(F, rows, col_labels=labels, row_labels=names)
-    if F.char != 2:
-        _guard_signs(m, F, "cocircuit")
-    return m
+    """One signed row per cocircuit, first nonzero entry +1, rows in cocircuit order.
+
+    A cocircuit D with least element b is C*(B, b) for B the greedy basis of
+    b + (E - D): E - D is a hyperplane that b, no loop, does not lie in, so
+    B meets D in b alone.
+    """
+    z = field.zero()
+
+    def row_of(d, b, labels):
+        basis = matroid._greedy_basis([b] + [x for x in matroid.ground if x not in d])
+        row = fundamental_rows(matroid, basis, field)[b]
+        return [row.get(lab, z) for lab in labels]
+
+    return _full_matrix(matroid, field, ordering, matroid.cocircuits, row_of)
 
 
 class RankReport(NamedTuple):

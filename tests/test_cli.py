@@ -161,7 +161,47 @@ PINNED_OUTPUT = (
      "21f92a1ebdf5982a7f3ca910eea7f791dc8cea76249a115d573a7727b289012e"),
     (None, ["verify", "paper", "--criterion", "8"], 0,
      "8245a6ad31e220b5ccd1503fdf88c43d57f765e9eb4d76f5c4cf4b53737b62f5"),
+    # the signed incidence rows: all four incidence matrices of criterion 6,
+    # the facet-rank check of a sampled search over q, and gf3 standard forms
+    (None, ["verify", "paper", "--criterion", "6"], 0,
+     "f513be78321b6e1425d068d26a15924531f2107ed5f6f68368816d15a45d9032"),
+    (["named", "dualk33"], ["nbc", "search", "--field", "q", "--policy", "sample:200:1"], 0,
+     "6a8105aadd8edfb17a9d978a4df8c90c89e3fe46c30206eed23ffd1561e4e8e2"),
+    (["phi", "2,3,2"], ["nbc", "check", "--field", "gf3"], 0,
+     "613aa3e5ac164c74d3843db1a690bbba2e9a4dfed4ec4f2d52ed783569b26cd5"),
 )
+
+
+RANK0_GF5 = {"type": "column", "labels": ["a", "b"], "field": "gf5", "matrix": [[0, 0]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lsop", "--field", "gf3"],
+    ["nbc", "check", "--field", "gf3"],
+    ["nbc", "search", "--field", "gf3"],
+    ["lsop", "--field", "q"],
+])
+def test_rank0_matrix_without_representation_exits_two(tmp_path, capsys, argv):
+    # a rank-0 gf5 matrix has no representation over gf3 or q, like any other
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(RANK0_GF5))
+    code, out, err = run(argv + ["--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"cannot convert a gf5 representation to {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("data,argv", [
+    (RANK0_GF5, ["nbc", "check", "--field", "gf5"]),
+    ({"type": "uniform", "labels": ["a", "b"], "rank": 0}, ["lsop", "--field", "q"]),
+    ({"type": "column", "labels": ["a", "b"], "field": "q", "matrix": [[0, 0]]},
+     ["nbc", "check", "--field", "gf3"]),
+])
+def test_rank0_matrix_with_representation_exits_zero(tmp_path, capsys, data, argv):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(argv + ["--input", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)
 
 
 def test_byte_stable_output(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import json
 import os
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from matroidlab import engine, matroids
+from matroidlab.complexes import bc_facets
 from matroidlab.engine import (
     candidate_monomials,
     count_standard_orderings,
@@ -25,8 +26,8 @@ from matroidlab.errors import (
     NotStandardOrdering,
 )
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
-from matroidlab.fields import GF2_FIELD, Q_FIELD
-from matroidlab.incidence import fundamental_matrices
+from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
+from matroidlab.incidence import basis_is_nonsingular, fundamental_matrices
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, uniform
 from matroidlab.polynomials import Monomial, minimal_generators, order_key
@@ -415,3 +416,66 @@ def test_macaulay_and_groebner_agree_on_matroid_quotients(m, field):
         if len(verdicts) == 5:
             break
     assert len(verdicts) == 5, verdicts
+
+
+@pytest.mark.parametrize("name", ("gf3", "gf5", "q"))
+def test_lsop_valid_without_facet_walk_agrees_with_it(name):
+    # over a field of characteristic other than 2 lsop does not walk the
+    # facets: its rows represent M, so every facet, a basis, is nonsingular;
+    # this walks them against the rows lsop returns
+    field = field_from_name(name)
+    instances = [named_matroid(n) for n in ("r10", "dualk33", "dualk33raw", "k33", "k4")]
+    instances += [build(sizes)[0] for build in (theta_matroid, phi_matroid)
+                  for sizes in ((2, 3), (3, 3), (2, 2, 2))]
+    for m in instances:
+        for std in _seeded_orderings(m, 3):
+            th = lsop(m, std, field)
+            assert th.valid is True and th.invalid_facet is None, std
+            for facet in bc_facets(m, std.ordering):
+                assert basis_is_nonsingular(m, th.cocircuit_matrix, facet), (std, facet)
+
+
+def _automorphisms_by_brute_force(m):
+    circuits = set(m.circuits())
+    out = []
+    for image in permutations(m.ground):
+        sigma = dict(zip(m.ground, image))
+        if all(frozenset(sigma[e] for e in c) in circuits for c in circuits):
+            out.append(sigma)
+    return out
+
+
+def _k33_automorphisms(m):
+    # the edge permutations induced by the 72 automorphisms of K_{3,3}
+    ends = {frozenset(edge): lab for edge, lab in zip(m.to_json()["edges"], m.ground)}
+    us, ws = ("u1", "u2", "u3"), ("w1", "w2", "w3")
+    out = []
+    for pu, pw, swap in product(permutations(us), permutations(ws), (False, True)):
+        vmap = dict(zip(us + ws, (pw + pu) if swap else (pu + pw)))
+        out.append({lab: ends[frozenset(map(vmap.get, edge))] for edge, lab in ends.items()})
+    return out
+
+
+@pytest.mark.parametrize("name,find,size,orderings,autos", (
+    ("k4", _automorphisms_by_brute_force, 24, 5, 24),
+    ("k33", _k33_automorphisms, 72, 40, 3),
+))
+def test_verdicts_are_invariant_under_automorphisms(name, find, size, orderings, autos):
+    m = named_matroid(name)
+    group = find(m)
+    circuits = set(m.circuits())
+    assert len(group) == size
+    assert len({tuple(sorted(s.items())) for s in group}) == size
+    for sigma in group:
+        assert {frozenset(sigma[e] for e in c) for c in circuits} == circuits
+    rng = random.Random(name)
+    reasons = set()
+    for std in _seeded_orderings(m, orderings):
+        for sigma in rng.sample(group, autos):
+            image = standard_ordering(m, [sigma[e] for e in std.labels])
+            for field in (GF2_FIELD, field_from_name("gf3"), Q_FIELD):
+                a, b = nbc_check(m, std, field), nbc_check(m, image, field)
+                assert (a.verdict, a.reason, a.l_size) == (b.verdict, b.reason, b.l_size), (std, sigma)
+                reasons.add(a.reason)
+    # the k4 sample gives bases only; the k33 sample reaches every later stage
+    assert reasons == ({""} if name == "k4" else {"", "wrong_cardinality", "not_independent"})

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 
 from matroidlab.errors import BadParams, NotRegular, NotStandardOrdering
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
-from matroidlab.fields import GF2_FIELD, Q_FIELD
+from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
 from matroidlab.incidence import (
     basis_is_nonsingular,
     check_rank_identities,
@@ -14,7 +15,8 @@ from matroidlab.incidence import (
     fundamental_matrices,
     fundamental_rows,
 )
-from matroidlab.matroids import from_graph, uniform
+from matroidlab.linalg import Matrix
+from matroidlab.matroids import from_graph, from_matrix, uniform
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
 
@@ -163,3 +165,117 @@ def test_fundamental_rows_cached_per_field_and_basis():
     rows = fundamental_rows(m, basis, Q_FIELD)
     assert fundamental_rows(m, ("e4", "e2", "e1"), Q_FIELD) is rows
     assert fundamental_rows(m, basis, GF2_FIELD) is not rows
+
+
+# -- the null-space construction, kept as an independent reference ------------
+#
+# Each signed circuit row is the one-dimensional null space of the
+# representation's circuit columns; each signed cocircuit row is y A for the
+# one vector y of the left null space of the columns outside the cocircuit,
+# taken on a full-row-rank A.  Over characteristic 2 the rows are indicators.
+
+
+def _ref_representation(matroid, field, labels):
+    rep = matroid.representation_over(field)
+    pos = {lab: j for j, lab in enumerate(rep.col_labels)}
+    return rep.select_columns([pos[lab] for lab in labels])
+
+
+def _ref_normalize(field, row):
+    z = field.zero()
+    lead = next((x for x in row if x != z), None)
+    if lead is None or lead == field.one():
+        return list(row)
+    inv = field.inv(lead)
+    return [field.mul(inv, x) for x in row]
+
+
+def _ref_circuit_row(rep, labels, circuit, field):
+    idx = [i for i, lab in enumerate(labels) if lab in circuit]
+    ns = rep.select_columns(idx).null_space_basis()
+    z = field.zero()
+    assert ns.nrows == 1 and all(x != z for x in ns.entries[0])
+    row = [z] * len(labels)
+    for k, i in enumerate(idx):
+        row[i] = ns.entries[0][k]
+    return _ref_normalize(field, row)
+
+
+def _ref_cocircuit_row(rep, labels, cocircuit, field):
+    out_idx = [i for i, lab in enumerate(labels) if lab not in cocircuit]
+    if out_idx:
+        left = rep.select_columns(out_idx).transpose().null_space_basis()
+    else:
+        left = Matrix.identity(field, rep.nrows)
+    assert left.nrows == 1
+    v = Matrix(field, [left.entries[0]]).matmul(rep).entries[0]
+    z = field.zero()
+    assert frozenset(lab for lab, x in zip(labels, v) if x != z) == frozenset(cocircuit)
+    return _ref_normalize(field, v)
+
+
+def _ref_full_matrix(matroid, field, ordering, cocircuits):
+    labels = tuple(ordering)
+    sets = matroid.cocircuits() if cocircuits else matroid.circuits()
+    names = ["{" + ",".join(sorted(c, key=matroid.position.get)) + "}" for c in sets]
+    if field.char == 2:
+        o, z = field.one(), field.zero()
+        rows = [[o if lab in c else z for lab in labels] for c in sets]
+    else:
+        rep = _ref_representation(matroid, field, labels)
+        if cocircuits:
+            rref = rep.rref()
+            rep = Matrix(field, [r for r in rref.entries if any(x != field.zero() for x in r)])
+            rows = [_ref_cocircuit_row(rep, labels, c, field) for c in sets]
+        else:
+            rows = [_ref_circuit_row(rep, labels, c, field) for c in sets]
+        allowed = {field.zero(), field.one(), field.neg(field.one())}
+        if any(x not in allowed for row in rows for x in row):
+            raise NotRegular("entry outside 0,+1,-1")
+    if not rows:
+        return Matrix(field, [], col_labels=labels)
+    return Matrix(field, rows, col_labels=labels, row_labels=names)
+
+
+def _corpus():
+    """83 matroids: the named fixtures, small uniform matroids, glued
+    families, a graph with a loop and 60 seeded random column matroids."""
+    out = [named_matroid(name) for name in ("r10", "dualk33", "dualk33raw", "k33", "k4")]
+    out += [uniform(r, n) for r, n in ((0, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5), (2, 2))]
+    for build in (theta_matroid, phi_matroid):
+        out += [build(sizes)[0] for sizes in ((2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2))]
+    out.append(from_graph(TRIANGLE + (("c", "c"), ("c", "d"))))
+    rng = random.Random("incidence corpus")
+    for name, values in (("gf2", (0, 1)), ("gf3", (0, 1, -1, 2)),
+                         ("gf5", (0, 1, -1, 2)), ("q", (0, 1, -1, 2))):
+        field = field_from_name(name)
+        for _ in range(15):
+            nrows, ncols = rng.randint(1, 3), rng.randint(2, 6)
+            rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+            out.append(from_matrix(Matrix.from_int_rows(field, rows)))
+    return out
+
+
+def _outcome(build, *args):
+    try:
+        m = build(*args)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+    return m.entries, {type(x) for row in m.entries for x in row}, m.col_labels, m.row_labels
+
+
+def test_full_matrices_match_null_space_reference():
+    corpus = _corpus()
+    assert len(corpus) == 83
+    cases = 0
+    for m in corpus:
+        ordering = tuple(reversed(m.ground))
+        for name in ("gf2", "gf3", "gf5", "q"):
+            field = field_from_name(name)
+            for build, cocircuits in ((full_circuit_matrix, False), (full_cocircuit_matrix, True)):
+                got = _outcome(build, m, field, ordering)
+                want = _outcome(_ref_full_matrix, m, field, ordering, cocircuits)
+                assert want is not AssertionError, (m.to_json(), name)
+                assert got == want, (m.to_json(), name, build.__name__)
+                cases += 1
+    assert cases == 664
