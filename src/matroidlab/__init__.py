@@ -10,12 +10,12 @@ including parallel search over all standard orderings.
 
 from .complexes import (
     HVector, Ordering, bc_faces, bc_facets, broken_circuits, f_h_vectors,
-    h_recursion_check, join_decomposition_check,
+    h_recursion_check,
 )
 from .engine import (
     DecompositionReport, NbcReport, SearchReport, StandardOrdering, ThetaSystem,
     candidate_monomials, count_standard_orderings, decomposition_check,
-    dj_values, iter_standard_orderings, lsop, nbc_check, order_ideals,
+    dj_values, lsop, nbc_check, order_ideals,
     search_orderings, standard_ordering, standard_ordering_at,
 )
 from .errors import MatroidlabError
@@ -43,10 +43,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HVector", "Ordering", "bc_faces", "bc_facets", "broken_circuits",
-    "f_h_vectors", "h_recursion_check", "join_decomposition_check",
+    "f_h_vectors", "h_recursion_check",
     "DecompositionReport", "NbcReport", "SearchReport", "StandardOrdering",
     "ThetaSystem", "candidate_monomials", "count_standard_orderings",
-    "decomposition_check", "dj_values", "iter_standard_orderings", "lsop",
+    "decomposition_check", "dj_values", "lsop",
     "nbc_check", "order_ideals", "search_orderings", "standard_ordering",
     "standard_ordering_at", "MatroidlabError", "describe_named", "list_named",
     "named_matroid", "phi_matroid", "theta_matroid", "GF2_FIELD", "Q_FIELD",

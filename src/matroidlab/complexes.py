@@ -34,19 +34,11 @@ class Ordering:
     def natural(cls, ground) -> "Ordering":
         return cls(tuple(ground))
 
-    @classmethod
-    def from_string(cls, text: str) -> "Ordering":
-        return cls(tuple(t.strip() for t in text.split(",") if t.strip()))
-
     def position(self, label) -> int:
         p = self._pos.get(label)
         if p is None:
             raise BadParams(f"label {label!r} not in ordering")
         return p
-
-    def induced(self, subset) -> "Ordering":
-        keep = set(subset)
-        return Ordering(tuple(lab for lab in self.labels if lab in keep))
 
     def validate_for(self, matroid: Matroid) -> None:
         if sorted(self.labels) != sorted(matroid.ground):
@@ -201,36 +193,3 @@ def h_recursion_check(matroid: Matroid, ordering, element) -> RecursionReport:
         for i in range(d)
     )
     return RecursionReport(element, ok, h, hd, hc)
-
-
-class JoinReport(NamedTuple):
-    ok: bool
-    components: tuple
-    f: tuple
-    f_product: tuple
-
-
-def _poly_mul(a, b) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def join_decomposition_check(matroid: Matroid, ordering) -> JoinReport:
-    """Face polynomial of M must equal the product over connected components.
-
-    Circuits never cross components, so the complex is the simplicial join
-    of the component complexes; the check multiplies exact face polynomials."""
-    o = _as_ordering(matroid, ordering)
-    comps = matroid.connected_components()
-    f, _ = f_h_vectors(matroid, o)
-    prod = [1]
-    for comp in comps:
-        sub = matroid.restrict(comp)
-        fc, _ = f_h_vectors(sub, o.induced(comp))
-        prod = _poly_mul(prod, list(fc))
-    want = list(f) + [0] * (len(prod) - len(f)) if len(prod) > len(f) else list(f)
-    got = prod + [0] * (len(want) - len(prod))
-    return JoinReport(got == want, comps, tuple(f), tuple(prod))

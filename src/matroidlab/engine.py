@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import random
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -130,13 +129,6 @@ def standard_ordering_at(matroid: Matroid, k: int) -> StandardOrdering:
     cobasis = sorted((e for e in matroid.ground if e not in bset), key=pos.get)
     labels = tuple(_perm_unrank(cobasis, cob_rank) + _perm_unrank(basis, bas_rank))
     return StandardOrdering(Ordering(labels), r, index=k)
-
-
-def iter_standard_orderings(matroid: Matroid, start: int = 0, stop: int | None = None):
-    total = count_standard_orderings(matroid)
-    stop = total if stop is None else min(stop, total)
-    for k in range(start, stop):
-        yield standard_ordering_at(matroid, k)
 
 
 # -- theta systems -------------------------------------------------------------
@@ -285,7 +277,6 @@ class NbcReport(NamedTuple):
     reason: str  # "" | "wrong_cardinality" | "lsop_invalid" | "not_independent"
     witness: str | None
     l_monomials: tuple
-    timing: float | None
 
     @property
     def is_basis(self) -> bool:
@@ -306,7 +297,6 @@ def nbc_check(
     field: Field,
     method: str = "macaulay",
     include_monomials: bool = True,
-    timing: bool = False,
 ) -> NbcReport:
     """Decide whether the ordering's candidate monomials form a quotient basis.
 
@@ -318,7 +308,6 @@ def nbc_check(
     elimination ('macaulay'), Buchberger normal forms ('groebner'), or
     'both' (which must agree).
     """
-    t0 = time.perf_counter()
     if method not in METHODS:
         raise BadParams(f"unknown method {method!r}")
     h = _h_vector(matroid, std)
@@ -353,7 +342,6 @@ def nbc_check(
             reason=reason,
             witness=witness,
             l_monomials=shown,
-            timing=(time.perf_counter() - t0) if timing else None,
         )
 
     if mismatch is not None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BadParams, BadRank, BadSize, SingularBasis
-from .fields import Field, GF2_FIELD, Q_FIELD
+from .fields import Field, Q_FIELD
 
 
 class Matrix:
@@ -97,12 +97,6 @@ class Matrix:
     def rank(self) -> int:
         return _span(self.field, self.entries, self.ncols).rank
 
-    def rref(self) -> "Matrix":
-        """Reduced row echelon form, pivots left to right, zero rows dropped."""
-        if self.nrows == 0:
-            return self
-        return Matrix(self.field, _span(self.field, self.entries, self.ncols).rref()[0])
-
     def standard_form(self, basis_cols) -> "Matrix":
         """Row-reduce so the given columns carry an identity block.
 
@@ -128,21 +122,6 @@ class Matrix:
             raise BadRank("basis columns do not span the row space")
         back = sorted(range(self.ncols), key=order.__getitem__)
         return Matrix(self.field, [[r[t] for t in back] for r in rows], col_labels=self.col_labels)
-
-    def null_space_basis(self) -> "Matrix":
-        """One row per free column of the RREF; entry at the free column is 1."""
-        F = self.field
-        z = F.zero()
-        rows, pivots = _span(F, self.entries, self.ncols).rref()
-        free = sorted(set(range(self.ncols)) - set(pivots))
-        out = []
-        for f in free:
-            v = [z] * self.ncols
-            v[f] = F.one()
-            for r, p in zip(rows, pivots):
-                v[p] = F.neg(r[f])
-            out.append(v)
-        return Matrix(F, out) if out else Matrix.zero(F, 0, self.ncols)
 
     # -- total unimodularity ----------------------------------------------
 
@@ -425,8 +404,3 @@ def is_sign_rescaling(a: Matrix, b: Matrix) -> bool:
             if not forest.join(i, n + j, odd) and forest.find(i)[1] ^ forest.find(n + j)[1] != odd:
                 return False
     return True
-
-
-def gf2_matrix(rows, col_labels=None) -> Matrix:
-    """Convenience constructor from 0/1 integer rows."""
-    return Matrix.from_int_rows(GF2_FIELD, rows, col_labels=col_labels)

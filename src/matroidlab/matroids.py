@@ -344,18 +344,7 @@ class Matroid:
                 s = t
         return frozenset(s)
 
-    # -- dual / minors --------------------------------------------------------
-
-    def dual(self) -> "Matroid":
-        if isinstance(self.backend, _UniformBackend):
-            return uniform(len(self.ground) - self.backend.r, len(self.ground), self.ground)
-        if isinstance(self.backend, (_ColumnBackend, _GraphicBackend)):
-            isgraph = isinstance(self.backend, _GraphicBackend)
-            rep = self.representation_over(GF2_FIELD) if isgraph else self.backend.matrix
-            ns = rep.null_space_basis()
-            ns = ns if ns.nrows else Matrix.zero(rep.field, 1, len(self.ground))
-            return from_matrix(ns, self.ground)
-        return from_circuits(self.cocircuits(), self.ground)
+    # -- minors --------------------------------------------------------------
 
     def delete(self, elems) -> "Matroid":
         drop = {elems} if isinstance(elems, str) else set(elems)
@@ -399,36 +388,6 @@ class Matroid:
         cands = [c - {e} for c in self.circuits() if c != {e}]
         minimal = [c for c in set(cands) if not any(d < c for d in cands)]
         return from_circuits(minimal, keep)
-
-    def restrict(self, subset) -> "Matroid":
-        s = set(subset)
-        return self.delete([e for e in self.ground if e not in s])
-
-    # -- connectivity ----------------------------------------------------------
-
-    def connected_components(self) -> tuple:
-        """Blocks of the transitive closure of 'shares a circuit'."""
-        parent = {e: e for e in self.ground}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.circuits():
-            it = iter(sorted(c, key=self.position.get))
-            first = find(next(it))
-            for e in it:
-                parent[find(e)] = first
-        blocks: dict = {}
-        for e in self.ground:
-            blocks.setdefault(find(e), []).append(e)
-        comps = [frozenset(v) for v in blocks.values()]
-        return tuple(sorted(comps, key=lambda c: min(self.position[e] for e in c)))
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
 
     # -- representations --------------------------------------------------------
 
@@ -571,16 +530,27 @@ def _json_list(data: dict, key: str, of_lists: bool = False) -> list:
     return value
 
 
+def _str_or_int(x) -> bool:
+    """A JSON string or integer: no float, bool, list, object or null."""
+    return isinstance(x, str) or isinstance(x, int) and not isinstance(x, bool)
+
+
 def matroid_from_json(data) -> Matroid:
     """Build a matroid from its to_json form; malformed input raises BadParams."""
     if not isinstance(data, dict):
         raise BadParams("matroid JSON must be an object")
     kind = data.get("type")
     labels = _json_list(data, "labels")
+    bad = [x for x in labels if not _str_or_int(x)]
+    if bad:
+        raise BadParams(f"label {bad[0]!r} is not a string or an integer")
     if kind == "column":
         field = data.get("field")
         F = field_from_name(field if isinstance(field, str) else "")
         matrix = _json_list(data, "matrix", True)
+        bad = [x for r in matrix for x in r if not _str_or_int(x)]
+        if bad:
+            raise BadParams(f"matrix entry {bad[0]!r} is not an integer or a string")
         try:
             rows = [[F.parse(str(x)) for x in r] for r in matrix]
         except (ValueError, ZeroDivisionError) as exc:

@@ -183,33 +183,14 @@ class Polynomial:
         self.terms = acc
 
     @classmethod
-    def zero(cls, field: Field, nvars: int) -> "Polynomial":
-        return cls(field, nvars, {})
-
-    @classmethod
     def constant(cls, field: Field, nvars: int, c) -> "Polynomial":
         return cls(field, nvars, {Monomial.one(): c})
-
-    @classmethod
-    def from_monomial(cls, field: Field, nvars: int, m: Monomial, c=None) -> "Polynomial":
-        return cls(field, nvars, {m: field.one() if c is None else c})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def total_degree(self) -> int:
         return max((m.degree() for m in self.terms), default=0)
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        # the constructor sums equal monomials and drops zero sums
-        return Polynomial(self.field, self.nvars, [*self.terms.items(), *other.terms.items()])
-
-    def neg(self) -> "Polynomial":
-        F = self.field
-        return Polynomial(F, self.nvars, {m: F.neg(c) for m, c in self.terms.items()})
-
-    def sub(self, other: "Polynomial") -> "Polynomial":
-        return self.add(other.neg())
 
     def scale(self, c) -> "Polynomial":
         F = self.field
@@ -276,31 +257,6 @@ class Polynomial:
             else:
                 out.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(out)
-
-    @classmethod
-    def parse(cls, field: Field, nvars: int, text: str) -> "Polynomial":
-        text = text.strip().replace("−", "-")
-        if text in ("", "0"):
-            return cls.zero(field, nvars)
-        # split into signed terms
-        chunks = re.split(r"\s*([+-])\s*", text)
-        if chunks[0] == "":
-            chunks = chunks[1:]
-        else:
-            chunks = ["+"] + chunks
-        terms = []
-        for sign, body in zip(chunks[0::2], chunks[1::2]):
-            body = body.strip()
-            if not body:
-                raise BadParams("empty term")
-            m = re.match(r"^(\d+(?:/\d+)?)?\s*(.*)$", body)
-            coeff_txt, mono_txt = m.group(1), m.group(2).strip()
-            c = field.parse(coeff_txt) if coeff_txt else field.one()
-            if sign == "-":
-                c = field.neg(c)
-            mono = Monomial.parse(mono_txt) if mono_txt else Monomial.one()
-            terms.append((mono, c))
-        return cls(field, nvars, terms)
 
 
 class Ideal(NamedTuple):
@@ -514,11 +470,6 @@ def staircase(gens, nvars: int) -> tuple:
     return upper, frozenset(out)
 
 
-def minimal_generators(monomials) -> frozenset:
-    ms = set(monomials)
-    return frozenset(m for m in ms if not any(o != m and o.divides(m) for o in ms))
-
-
 def standard_monomials(gb, nvars: int, order: str = "grlex") -> tuple:
     """Monomials outside the leading-term ideal, ascending in the order.
 
@@ -533,9 +484,9 @@ def standard_monomials(gb, nvars: int, order: str = "grlex") -> tuple:
 # -- quotient dimension -------------------------------------------------------
 
 
-def quotient_dimension(ideal: Ideal, order: str = "grlex") -> tuple:
-    """(total dimension, by-degree tuple) via the Groebner staircase."""
-    std = standard_monomials(groebner_basis(ideal, order), ideal.nvars, order)
+def quotient_dimension(ideal: Ideal) -> tuple:
+    """(total dimension, by-degree tuple) via the grlex Groebner staircase."""
+    std = standard_monomials(groebner_basis(ideal), ideal.nvars)
     by_deg = [0] * (max((m.degree() for m in std), default=-1) + 1)
     for m in std:
         by_deg[m.degree()] += 1
@@ -671,16 +622,16 @@ def monomials_independent_in_quotient(
     return _by_method(method, groebner, macaulay)
 
 
-def normal_form_span(ideal: Ideal, gb, mons, order: str = "grlex") -> tuple:
+def normal_form_span(ideal: Ideal, gb, mons) -> tuple:
     """The normal forms of `mons` modulo the Groebner basis gb, as rows.
 
-    Returns (first monomial, in the term order, whose normal form lies in
+    Returns (first monomial, in grlex order, whose normal form lies in
     the span of the earlier ones, or None; the RowSpace of the rows; the
     column index, one column per monomial occurring in a normal form).
-    gb must be a Groebner basis of `ideal` for `order`: the callers compute
-    it once and pass it in.
+    gb must be a grlex Groebner basis of `ideal`: the callers compute it
+    once and pass it in.
     """
-    key = order_key(order, ideal.nvars)
+    key = order_key("grlex", ideal.nvars)
     F = ideal.field
     z = F.zero()
     index = _Index(key)
@@ -715,9 +666,7 @@ class BasisVerdict(NamedTuple):
         return self.kind == "basis"
 
 
-def monomial_set_is_basis(
-    ideal: Ideal, monomials, method: str = "both", order: str = "grlex"
-) -> BasisVerdict:
+def monomial_set_is_basis(ideal: Ideal, monomials, method: str = "both") -> BasisVerdict:
     """Decide whether the images of `monomials` form a basis of k[x]/ideal.
 
     Precedence: NotArtinian raised; wrong_cardinality when the sizes differ;
@@ -728,7 +677,7 @@ def monomial_set_is_basis(
     mons = list(monomials)
     return _by_method(
         method,
-        lambda: _basis_via_groebner(ideal, mons, order),
+        lambda: _basis_via_groebner(ideal, mons),
         lambda: _basis_via_macaulay(ideal, mons),
     )
 
@@ -748,12 +697,12 @@ def _by_method(method: str, groebner, macaulay) -> tuple:
     return res_m if res_g is None else res_g
 
 
-def _basis_via_groebner(ideal: Ideal, mons, order: str) -> BasisVerdict:
-    gb = groebner_basis(ideal, order)
-    std = standard_monomials(gb, ideal.nvars, order)
+def _basis_via_groebner(ideal: Ideal, mons) -> BasisVerdict:
+    gb = groebner_basis(ideal)
+    std = standard_monomials(gb, ideal.nvars)
     if len(mons) > len(std):
         return BasisVerdict("wrong_cardinality", None)
-    wit, space, cols = normal_form_span(ideal, gb, mons, order)
+    wit, space, cols = normal_form_span(ideal, gb, mons)
     if wit is not None:
         return BasisVerdict("not_independent", wit)
     if len(mons) < len(std):

@@ -1,11 +1,14 @@
+import ast
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matroidlab
 from matroidlab.cli import main
 from matroidlab.matroids import uniform
 
@@ -356,7 +359,8 @@ def test_timing_flag_adds_key(tmp_path, capsys):
         ["nbc", "check", "--input", path, "--field", "q", "--timing"], capsys
     )
     assert code == 0
-    assert "timing_seconds" in json.loads(out)
+    seconds = json.loads(out)["timing_seconds"]
+    assert type(seconds) is float and seconds >= 0
 
 
 def test_console_script_installed():
@@ -366,6 +370,22 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "r10" in json.loads(proc.stdout)
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies
+    files = sorted(Path(matroidlab.__file__).parent.glob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names, (path.name, top)
 
 
 U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
@@ -388,11 +408,21 @@ U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
     (["nbc", "search", "--checkpoint-every", "0"], U23, {}),
     (["nbc", "search"], U23, {"MATROIDLAB_WORKERS": "x"}),
     (["nbc", "check", "--field", "gf18446744073709551629"], {"matroid": U23, "ordering": ["c", "a", "b"]}, {}),
+    (["info"], {"type": "column", "labels": ["a", "b"], "field": "q", "matrix": [[0.1, 1]]}, {}),
+    (["info"], {"type": "column", "labels": ["a", "b"], "field": "gf2", "matrix": [[1.0, 1]]}, {}),
+    (["info"], {"type": "column", "labels": ["a", "b"], "field": "gf3", "matrix": [[0.5, 1]]}, {}),
+    (["info"], {"type": "column", "labels": ["a", "b"], "field": "q", "matrix": [[True, 1]]}, {}),
+    (["info"], {"type": "column", "labels": ["a", "b"], "field": "q", "matrix": [[None, 1]]}, {}),
+    (["info"], {"type": "uniform", "labels": [["a"], "b"], "rank": 1}, {}),
+    (["info"], {"type": "uniform", "labels": ["a", 1.5], "rank": 1}, {}),
+    (["info"], {"type": "uniform", "labels": ["a", None], "rank": 1}, {}),
+    (["info"], {"type": "graphic", "labels": [True], "edges": [["u", "v"]]}, {}),
 ), ids=(
     "uniform-without-rank", "float-rank", "string-rank", "bool-rank", "no-labels",
     "one-vertex-edge", "bad-entry", "bad-field", "nested-circuit", "matroid-not-object",
     "string-ordering", "bad-shard", "bad-sample", "checkpoint-every-0", "bad-workers-env",
-    "field-above-2^64",
+    "field-above-2^64", "float-entry-q", "float-entry-gf2", "float-entry-gf3", "bool-entry",
+    "null-entry", "list-label", "float-label", "null-label", "bool-label",
 ))
 def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     for key, value in env.items():
@@ -401,6 +431,7 @@ def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("matroidlab: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 # the first standard ordering of U(2,4) and another one

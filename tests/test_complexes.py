@@ -10,7 +10,6 @@ from matroidlab.complexes import (
     broken_circuits,
     f_h_vectors,
     h_recursion_check,
-    join_decomposition_check,
 )
 from matroidlab.errors import BadParams, DegenerateElement
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
@@ -24,8 +23,6 @@ TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
 def test_ordering_basics():
     o = Ordering(("b", "a", "c"))
     assert o.position("b") == 1 and o.position("c") == 3
-    assert o.induced({"a", "c"}).labels == ("a", "c")
-    assert Ordering.from_string(" b , a,c ").labels == ("b", "a", "c")
     assert len(o) == 3 and list(o) == ["b", "a", "c"]
     assert o.show() == "b,a,c"
     with pytest.raises(BadParams):
@@ -155,14 +152,6 @@ def test_h_recursion_rejects_degenerate_elements():
     looped = from_circuits([{"a"}, {"b", "c"}], ("a", "b", "c"))
     with pytest.raises(DegenerateElement):
         h_recursion_check(looped, looped.ground, "a")
-
-
-def test_join_decomposition():
-    m = from_graph(TRIANGLE + (("d", "e"), ("e", "f"), ("f", "d")))
-    rep = join_decomposition_check(m, m.ground)
-    assert rep.ok
-    assert len(rep.components) == 2
-    assert rep.f == rep.f_product
 
 
 def test_hvector_helpers():

@@ -17,6 +17,7 @@ from matroidlab.incidence import (
 )
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, from_matrix, uniform
+from test_linalg import rref_rows
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
 
@@ -181,6 +182,20 @@ def _ref_representation(matroid, field, labels):
     return rep.select_columns([pos[lab] for lab in labels])
 
 
+def _ref_null_space(m):
+    """One row per free column of the RREF; entry at the free column is 1."""
+    F = m.field
+    rows, pivots = rref_rows(m)
+    out = []
+    for f in sorted(set(range(m.ncols)) - set(pivots)):
+        v = [F.zero()] * m.ncols
+        v[f] = F.one()
+        for r, p in zip(rows, pivots):
+            v[p] = F.neg(r[f])
+        out.append(v)
+    return Matrix(F, out)
+
+
 def _ref_normalize(field, row):
     z = field.zero()
     lead = next((x for x in row if x != z), None)
@@ -192,7 +207,7 @@ def _ref_normalize(field, row):
 
 def _ref_circuit_row(rep, labels, circuit, field):
     idx = [i for i, lab in enumerate(labels) if lab in circuit]
-    ns = rep.select_columns(idx).null_space_basis()
+    ns = _ref_null_space(rep.select_columns(idx))
     z = field.zero()
     assert ns.nrows == 1 and all(x != z for x in ns.entries[0])
     row = [z] * len(labels)
@@ -204,7 +219,7 @@ def _ref_circuit_row(rep, labels, circuit, field):
 def _ref_cocircuit_row(rep, labels, cocircuit, field):
     out_idx = [i for i, lab in enumerate(labels) if lab not in cocircuit]
     if out_idx:
-        left = rep.select_columns(out_idx).transpose().null_space_basis()
+        left = _ref_null_space(rep.select_columns(out_idx).transpose())
     else:
         left = Matrix.identity(field, rep.nrows)
     assert left.nrows == 1
@@ -224,8 +239,7 @@ def _ref_full_matrix(matroid, field, ordering, cocircuits):
     else:
         rep = _ref_representation(matroid, field, labels)
         if cocircuits:
-            rref = rep.rref()
-            rep = Matrix(field, [r for r in rref.entries if any(x != field.zero() for x in r)])
+            rep = Matrix(field, rref_rows(rep)[0])
             rows = [_ref_cocircuit_row(rep, labels, c, field) for c in sets]
         else:
             rows = [_ref_circuit_row(rep, labels, c, field) for c in sets]

@@ -5,11 +5,19 @@ import pytest
 
 from matroidlab.errors import BadParams, BadRank, Overbudget, SingularBasis
 from matroidlab.fields import GF2_FIELD, GFp, Q_FIELD
-from matroidlab.linalg import Matrix, RowSpace, gf2_matrix, tu_signing
+from matroidlab.linalg import Matrix, RowSpace, tu_signing
 from matroidlab.matroids import RESIDUE_FIELD
 from test_regularity import minor_rank
 
 FIELDS = (GF2_FIELD, GFp(5), Q_FIELD)
+
+
+def rref_rows(m: Matrix) -> tuple:
+    """(rows, pivot columns) of the reduced row echelon form of m's rows."""
+    space = RowSpace(m.field, m.ncols)
+    for r in m.entries:
+        space.add(r)
+    return space.rref()
 
 
 def test_constructors_and_shape():
@@ -33,16 +41,15 @@ def test_rank_and_rref(field):
     m = Matrix.from_int_rows(field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     # over gf2 the three rows sum to zero; elsewhere they are independent
     assert m.rank() == (2 if field.char == 2 else 3)
-    r = m.rref()
-    assert r.rank() == m.rank()
-    assert r.nrows == m.rank()
+    rows, pivots = rref_rows(m)
+    assert Matrix(field, rows).rank() == m.rank()
+    assert len(rows) == len(pivots) == m.rank()
 
 
 def test_rref_is_reduced():
     m = Matrix.from_int_rows(Q_FIELD, [[2, 4, 0], [1, 2, 1]])
-    r = m.rref()
-    assert r.entries == ((Fraction(1), Fraction(2), Fraction(0)),
-                         (Fraction(0), Fraction(0), Fraction(1)))
+    assert rref_rows(m) == ([[Fraction(1), Fraction(2), Fraction(0)],
+                         [Fraction(0), Fraction(0), Fraction(1)]], [0, 2])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -66,15 +73,6 @@ def test_standard_form_errors():
         m.standard_form([5])
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_null_space_is_orthogonal(field):
-    m = Matrix.from_int_rows(field, [[1, 1, 1, 0], [0, 1, 0, 1]])
-    ns = m.null_space_basis()
-    assert ns.nrows == 2
-    prod = m.matmul(ns.transpose())
-    assert prod.is_zero()
-
-
 def test_total_unimodularity():
     tri = Matrix.from_int_rows(Q_FIELD, [[1, 0, -1], [-1, 1, 0], [0, -1, 1]])
     assert tri.is_totally_unimodular()
@@ -89,14 +87,14 @@ def test_total_unimodularity():
 
 
 def test_tu_signing_roundtrip():
-    support = gf2_matrix([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    support = Matrix.from_int_rows(GF2_FIELD, [[1, 0, 1], [1, 1, 0], [0, 1, 1]])
     signed = tu_signing(support)
     assert signed.is_totally_unimodular()
     back = signed.map_to_field(GF2_FIELD)
     assert back == support
     # the Fano plane is not regular: its support still gets a signing, which
     # is not TU
-    fano = gf2_matrix([
+    fano = Matrix.from_int_rows(GF2_FIELD, [
         [1, 0, 0, 1, 1, 0, 1],
         [0, 1, 0, 1, 0, 1, 1],
         [0, 0, 1, 0, 1, 1, 1],
@@ -213,8 +211,7 @@ def test_rational_kernel_matches_gauss_jordan():
         if len(rows) <= 5 and ncols <= 5:
             assert space.rank == minor_rank(Q_FIELD, rows)
         assert space.rref() == (ref, pivots)
-        assert m.rref().entries == tuple(map(tuple, ref))
-        assert all(type(x) is Fraction for r in m.rref().entries for x in r)
+        assert all(type(x) is Fraction for r in space.rref()[0] for x in r)
         # standard form on the last basis of columns, the pivots of the
         # columns reversed: the RREF of the columns reordered so the basis
         # comes first, put back in place
@@ -223,17 +220,12 @@ def test_rational_kernel_matches_gauss_jordan():
         sf_ref, _ = fraction_rref([[r[j] for j in order] for r in rows], ncols)
         back = sorted(range(ncols), key=order.__getitem__)
         assert m.standard_form(basis).entries == tuple(tuple(r[t] for t in back) for r in sf_ref)
-        free = [j for j in range(ncols) if j not in pivots]
-        null = [[Fraction(int(j == f)) for j in range(ncols)] for f in free]
-        for v, f in zip(null, free):
-            for r, c in zip(ref, pivots):
-                v[c] = -r[f]
-        assert m.null_space_basis().entries == tuple(map(tuple, null))
 
 
 def test_hilbert_matrix_has_full_rank():
     hilbert = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
     m = Matrix(Q_FIELD, hilbert)
     assert m.rank() == 10
-    assert m.rref() == Matrix.identity(Q_FIELD, 10)
-    assert m.null_space_basis().nrows == 0
+    rows, pivots = rref_rows(m)
+    assert Matrix(Q_FIELD, rows) == Matrix.identity(Q_FIELD, 10)
+    assert pivots == list(range(10))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +16,6 @@ from matroidlab.polynomials import (
     Polynomial,
     _descending,
     groebner_basis,
-    minimal_generators,
     monomial_set_is_basis,
     monomials_independent_in_quotient,
     monomials_of_degree,
@@ -36,7 +36,15 @@ XY = X.mul(Y)
 
 
 def _poly(field, nvars, text):
-    return Polynomial.parse(field, nvars, text)
+    """The polynomial written as Polynomial.show() writes it."""
+    chunks = re.split(r"\s*([+-])\s*", text.strip())
+    chunks = chunks[1:] if chunks[0] == "" else ["+"] + chunks
+    terms = []
+    for sign, body in zip(chunks[0::2], chunks[1::2]):
+        coeff, mono = re.fullmatch(r"(\d+(?:/\d+)?)?\s*(.*)", body).groups()
+        c = field.parse(coeff) if coeff else field.one()
+        terms.append((Monomial.parse(mono) if mono else Monomial.one(), field.neg(c) if sign == "-" else c))
+    return Polynomial(field, nvars, terms)
 
 
 def test_monomial_basics():
@@ -132,7 +140,7 @@ def test_polynomial_arithmetic():
     sq = a.mul(a)
     assert sq == _poly(F, 2, "x1^2 + 2 x1 x2 + x2^2")
     assert sq.total_degree() == 2
-    assert a.sub(a).is_zero()
+    assert Polynomial(F, 2, [*a.terms.items(), *a.scale(F.from_int(-1)).terms.items()]).is_zero()
     b = _poly(GF2_FIELD, 2, "x1 + x2")
     assert b.mul(b) == _poly(GF2_FIELD, 2, "x1^2 + x2^2")
 
@@ -292,15 +300,13 @@ def test_standard_monomials_edge_cases():
 
 
 def test_minimal_generators():
-    gens = minimal_generators([X2, X2.mul(Y), XY, XY.mul(XY)])
-    assert gens == frozenset({X2, XY})
-    # the staircase keeps the same generators, and with x2^2 added the
-    # monomials below them are 1, x1 and x2
+    # the minimal generators of x1^2, x1^2 x2, x1 x2, x1^2 x2^2 are x1^2 and
+    # x1 x2; with x2^2 added the monomials below them are 1, x1 and x2
     with pytest.raises(NotArtinian) as no_x2:
         staircase(map(Monomial, [(2, 0), (2, 1), (1, 1), (2, 2)]), 2)
     assert no_x2.value.witness_variable == 2
     assert staircase(map(Monomial, [(2, 0), (2, 1), (1, 1), (2, 2), (0, 2), (1, 1)]), 2) == (
-        gens | {Y2}, frozenset({Monomial.one(), X, Y}))
+        frozenset({X2, XY, Y2}), frozenset({Monomial.one(), X, Y}))
 
 
 def _to_sympy(p, xs, sympy):
@@ -324,7 +330,7 @@ def test_groebner_matches_independent_library():
         for v in range(1, nvars + 1):
             if rng.random() < 0.7:
                 power = Monomial.variable(v, rng.randint(1, 3))
-                gens.append(Polynomial.from_monomial(F, nvars, power))
+                gens.append(Polynomial(F, nvars, {power: F.one()}))
         for _ in range(rng.randint(1, 2)):
             terms = {}
             for mono in monomials_of_degree(nvars, rng.randint(1, 2)):
@@ -397,7 +403,7 @@ def test_groebner_method_computes_the_basis_once(monkeypatch):
 
 def _random_homogeneous_ideal(rng, field, nvars):
     gens = [
-        Polynomial.from_monomial(field, nvars, Monomial.variable(v, rng.randint(1, 3)))
+        Polynomial(field, nvars, {Monomial.variable(v, rng.randint(1, 3)): field.one()})
         for v in range(1, nvars + 1)
     ]
     for _ in range(rng.randint(0, 3)):
@@ -420,14 +426,15 @@ def test_macaulay_and_groebner_agree_on_rational_coefficients():
     for _ in range(40):
         nvars, d = rng.randint(2, 3), rng.randint(2, 3)
         gens = [
-            Polynomial.from_monomial(Q_FIELD, nvars, Monomial.variable(v, 3), rng.choice(RATIONALS))
+            Polynomial(Q_FIELD, nvars, {Monomial.variable(v, 3): rng.choice(RATIONALS)})
             for v in range(1, nvars + 1)
         ]
         for _ in range(2):
             mons = rng.sample(monomials_of_degree(nvars, d), 3)
             gens.append(Polynomial(Q_FIELD, nvars, {m: rng.choice(RATIONALS) for m in mons}))
         a, b = gens[-2:]
-        gens.append(a.scale(rng.choice(RATIONALS)).add(b.scale(rng.choice(RATIONALS))))
+        a, b = a.scale(rng.choice(RATIONALS)), b.scale(rng.choice(RATIONALS))
+        gens.append(Polynomial(Q_FIELD, nvars, [*a.terms.items(), *b.terms.items()]))
         ideal = Ideal.make(Q_FIELD, nvars, gens)
         assert quotient_dimension_macaulay(ideal) == quotient_dimension(ideal)
         pool = [m for e in range(4) for m in monomials_of_degree(nvars, e)]
