@@ -34,8 +34,7 @@ from .matroids import (
 )
 from .polynomials import (
     Ideal, Monomial, Polynomial, groebner_basis,
-    monomial_set_is_basis, quotient_dimension, quotient_dimension_macaulay,
-    standard_monomials,
+    quotient_dimension, quotient_dimension_macaulay, standard_monomials,
 )
 from .verify import CriterionResult, run_all, run_criterion
 
@@ -56,7 +55,7 @@ __all__ = [
     "tu_signing", "Matroid", "from_circuits", "from_graph", "from_matrix",
     "matroid_from_json", "parallel_connection", "represented_parallel_connection",
     "uniform", "Ideal", "Monomial", "Polynomial",
-    "groebner_basis", "monomial_set_is_basis", "quotient_dimension",
+    "groebner_basis", "quotient_dimension",
     "quotient_dimension_macaulay", "standard_monomials", "CriterionResult",
     "run_all", "run_criterion", "__version__",
 ]

@@ -48,7 +48,7 @@ from .families import (
     theta_matroid,
 )
 from .fields import field_from_name
-from .matroids import Matroid, matroid_from_json
+from .matroids import Matroid, _str_or_int, matroid_from_json
 from .polynomials import METHODS, groebner_basis, standard_monomials
 from . import verify as _verify
 
@@ -63,19 +63,29 @@ def _emit(obj, path: str | None = None) -> None:
 
 
 def _load_matroid(path: str) -> tuple:
-    """(matroid, embedded ordering or None) from a file or stdin."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    data = json.loads(text)
+    """(matroid, embedded ordering or None) from a file or stdin.  An
+    ordering item is a label: a string, or an integer standing for its
+    decimal string."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad bytes or JSON, or past the parser's limits
+        raise BadParams(f"bad JSON input: {exc}") from None
     if not isinstance(data, dict):
         raise MatroidlabError("input must be a JSON object")
     if "matroid" in data:
         ordering = data.get("ordering")
-        if ordering is not None and not isinstance(ordering, list):
-            raise BadParams("embedded ordering must be a list of labels")
+        if ordering is not None:
+            if not isinstance(ordering, list):
+                raise BadParams("embedded ordering must be a list of labels")
+            bad = [x for x in ordering if not _str_or_int(x)]
+            if bad:
+                raise BadParams(f"ordering item {bad[0]!r} is not a string or an integer")
+            ordering = [str(x) for x in ordering]
         return matroid_from_json(data["matroid"]), ordering
     return matroid_from_json(data), None
 
@@ -402,14 +412,8 @@ def main(argv=None) -> int:
         parser.error("gen theta/phi/named needs an argument")
     try:
         return args.func(args)
-    except MatroidlabError as exc:
+    except (MatroidlabError, OSError) as exc:
         print(f"matroidlab: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"matroidlab: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"matroidlab: bad JSON input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -542,7 +542,7 @@ def _load_checkpoint(
     try:
         with open(path) as fh:
             state = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BadParams(f"checkpoint {path} is not readable JSON: {exc}") from None
     if not isinstance(state, dict):
         raise BadParams(f"checkpoint {path} is not a JSON object")

@@ -10,15 +10,15 @@ agreement between them is a tested invariant, never an assumption:
 
 - Macaulay: dense linear algebra one degree at a time.  A _MacaulaySlice
   holds the rows of J_d (homogeneous generators only) in one RowSpace and
-  answers dimension, independence and spanning for degree d.
+  answers dimension and independence for degree d.
 - Groebner: Buchberger (groebner_basis), then normal forms.  normal_form_span
   ranks the normal forms of monomials modulo a basis computed once.
 
-_by_method runs the path named by one of METHODS, or both and checks that
-they agree, for monomials_independent_in_quotient (independence) and
-monomial_set_is_basis (the full decision of _basis_via_macaulay or
-_basis_via_groebner).  quotient_dimension_macaulay reads slice dimensions,
-quotient_dimension the staircase.
+monomials_independent_in_quotient is the one quotient decision: it runs
+the path named by one of METHODS, or both and checks that they agree.
+Its dimension counterpart is the oracle pair quotient_dimension (the
+staircase) and quotient_dimension_macaulay (slice dimensions); a monomial
+set is a basis when it is independent and as large as the dimension.
 """
 
 from __future__ import annotations
@@ -514,8 +514,7 @@ class _MacaulaySlice:
     d.  add() puts the unit row of a degree-d monomial into the same space
     and says whether the rank grew: after the monomials of S_d are added
     in order, the first that does not grow it is S_d's first dependent
-    monomial.  escape() then names the first column monomial outside
-    span(J_d + S_d), the witness that S_d does not span.
+    monomial.
     """
 
     __slots__ = ("index", "space", "dim")
@@ -545,40 +544,15 @@ class _MacaulaySlice:
         row[self.index[m]] = 1
         return self.space.add(row)
 
-    def escape(self) -> Monomial | None:
-        # a probe that does not grow the rank leaves the space as it was
-        return next((m for m in self.index if self.add(m)), None)
 
-
-def _macaulay_slices(ideal: Ideal, cap: int | None = None) -> dict:
-    """{d: slice} for d = 0, 1, ... while the quotient is nonzero in degree d.
-
-    Requires homogeneous generators, for which the quotient vanishes in
-    every degree above the first degree where it vanishes.  If it has not
-    vanished by `cap` (default: sum of generator degrees, a
-    complete-intersection-style regularity bound) the quotient is declared
-    non-Artinian.
-    """
-    if cap is None:
-        cap = sum(g.total_degree() for g in ideal.generators) or 1
-    cap = min(cap, MACAULAY_DEGREE_CAP)
-    slices: dict = {}
-    while True:
-        sl = _MacaulaySlice(ideal, len(slices))
-        if sl.dim == 0:
-            return slices
-        slices[len(slices)] = sl
-        if len(slices) > cap:
-            raise NotArtinian(f"quotient still growing at degree {cap}", None)
-
-
-def _first_dependent(ideal: Ideal, mons, slices: dict) -> Monomial | None:
+def _first_dependent(ideal: Ideal, mons) -> Monomial | None:
     """First monomial, in grlex order, in the span of J and the ones before it.
 
     A homogeneous ideal grades the quotient, so only monomials of one
     degree can depend on each other and each degree is settled in its own
-    slice; slices missing from `slices` are built and added to it.
+    slice, built when the first monomial of that degree comes.
     """
+    slices: dict = {}
     for m in sorted(mons, key=order_key("grlex", ideal.nvars)):
         d = m.degree()
         if d not in slices:
@@ -591,11 +565,23 @@ def _first_dependent(ideal: Ideal, mons, slices: dict) -> Monomial | None:
 def quotient_dimension_macaulay(ideal: Ideal, cap: int | None = None) -> tuple:
     """(total, by-degree) by dense rank per degree; no Groebner machinery.
 
-    Requires homogeneous generators; raises NotArtinian if the quotient is
-    still nonzero in degree `cap` (see _macaulay_slices).
+    Requires homogeneous generators, for which the quotient vanishes in
+    every degree above the first degree where it vanishes.  If it has not
+    vanished by `cap` (default: sum of generator degrees, a
+    complete-intersection-style regularity bound) the quotient is declared
+    non-Artinian.
     """
-    by_deg = tuple(sl.dim for sl in _macaulay_slices(ideal, cap).values())
-    return (sum(by_deg), by_deg)
+    if cap is None:
+        cap = sum(g.total_degree() for g in ideal.generators) or 1
+    cap = min(cap, MACAULAY_DEGREE_CAP)
+    by_deg: list = []
+    while True:
+        dim = _MacaulaySlice(ideal, len(by_deg)).dim
+        if dim == 0:
+            return (sum(by_deg), tuple(by_deg))
+        by_deg.append(dim)
+        if len(by_deg) > cap:
+            raise NotArtinian(f"quotient still growing at degree {cap}", None)
 
 
 def monomials_independent_in_quotient(
@@ -607,27 +593,31 @@ def monomials_independent_in_quotient(
     method 'macaulay' ranks each degree apart (homogeneous generators
     required) and never computes the quotient dimension, so it stays cheap
     inside search loops; 'groebner' ranks normal forms modulo gb, a grlex
-    Groebner basis of the ideal, computed here when None; 'both' runs both.
+    Groebner basis of the ideal, computed here when None; 'both' runs the
+    Groebner path, then the Macaulay path, and returns the Groebner answer
+    once the two outcomes agree.  The paths are independent, so a
+    disagreement would mean a bug in one of them and raises.
     """
+    if method not in METHODS:
+        raise BadParams(f"unknown method {method!r}")
     mons = list(mons)
+    if method != "macaulay":
+        wit = normal_form_span(ideal, groebner_basis(ideal) if gb is None else gb, mons)
+    if method != "groebner":
+        wit_m = _first_dependent(ideal, mons)
+        if method == "macaulay":
+            wit = wit_m
+        elif (wit is None) != (wit_m is None):
+            raise AssertionError(
+                f"independent decision paths disagree: {wit is None} vs {wit_m is None}"
+            )
+    return (wit is None, wit)
 
-    def groebner():
-        wit = normal_form_span(ideal, groebner_basis(ideal) if gb is None else gb, mons)[0]
-        return (wit is None, wit)
 
-    def macaulay():
-        wit = _first_dependent(ideal, mons, {})
-        return (wit is None, wit)
+def normal_form_span(ideal: Ideal, gb, mons) -> Monomial | None:
+    """The first monomial of `mons`, in grlex order, whose normal form modulo
+    the Groebner basis gb lies in the span of the earlier ones, or None.
 
-    return _by_method(method, groebner, macaulay)
-
-
-def normal_form_span(ideal: Ideal, gb, mons) -> tuple:
-    """The normal forms of `mons` modulo the Groebner basis gb, as rows.
-
-    Returns (first monomial, in grlex order, whose normal form lies in
-    the span of the earlier ones, or None; the RowSpace of the rows; the
-    column index, one column per monomial occurring in a normal form).
     gb must be a grlex Groebner basis of `ideal`: the callers compute it
     once and pass it in.
     """
@@ -650,87 +640,5 @@ def normal_form_span(ideal: Ideal, gb, mons) -> tuple:
         for mm, c in nf.terms.items():
             row[cols[mm]] = c
         if not space.add(row):
-            return m, space, cols
-    return None, space, cols
-
-
-# -- monomial basis decision ---------------------------------------------------
-
-
-class BasisVerdict(NamedTuple):
-    kind: str  # basis | not_independent | not_spanning | wrong_cardinality
-    witness: Monomial | None
-
-    @property
-    def is_basis(self) -> bool:
-        return self.kind == "basis"
-
-
-def monomial_set_is_basis(ideal: Ideal, monomials, method: str = "both") -> BasisVerdict:
-    """Decide whether the images of `monomials` form a basis of k[x]/ideal.
-
-    Precedence: NotArtinian raised; wrong_cardinality when the sizes differ;
-    not_independent with the first offending monomial; not_spanning with a
-    witness standard monomial when S is independent but too small.  method
-    selects 'groebner', 'macaulay', or 'both' (see _by_method).
-    """
-    mons = list(monomials)
-    return _by_method(
-        method,
-        lambda: _basis_via_groebner(ideal, mons),
-        lambda: _basis_via_macaulay(ideal, mons),
-    )
-
-
-def _by_method(method: str, groebner, macaulay) -> tuple:
-    """The answer, an (outcome, witness) pair, of the path that `method`
-    names, each path a thunk.  'both' runs the Groebner path, then the
-    Macaulay path, and returns the Groebner answer once the two outcomes
-    agree; the paths are independent, so a disagreement would mean a bug in
-    one of them and raises."""
-    if method not in METHODS:
-        raise BadParams(f"unknown method {method!r}")
-    res_g = groebner() if method != "macaulay" else None
-    res_m = macaulay() if method != "groebner" else None
-    if res_g is not None and res_m is not None and res_g[0] != res_m[0]:
-        raise AssertionError(f"independent decision paths disagree: {res_g[0]} vs {res_m[0]}")
-    return res_m if res_g is None else res_g
-
-
-def _basis_via_groebner(ideal: Ideal, mons) -> BasisVerdict:
-    gb = groebner_basis(ideal)
-    std = standard_monomials(gb, ideal.nvars)
-    if len(mons) > len(std):
-        return BasisVerdict("wrong_cardinality", None)
-    wit, space, cols = normal_form_span(ideal, gb, mons)
-    if wit is not None:
-        return BasisVerdict("not_independent", wit)
-    if len(mons) < len(std):
-        # independent but too few: some standard monomial escapes the span
-        F = ideal.field
-        for m in std:
-            if m not in cols:
-                return BasisVerdict("not_spanning", m)
-            unit = [F.zero()] * len(cols)
-            unit[cols[m]] = F.one()
-            if space.add(unit):
-                return BasisVerdict("not_spanning", m)
-        raise AssertionError("independent set smaller than dimension must miss something")
-    return BasisVerdict("basis", None)
-
-
-def _basis_via_macaulay(ideal: Ideal, mons) -> BasisVerdict:
-    slices = _macaulay_slices(ideal)
-    total = sum(sl.dim for sl in slices.values())
-    if len(mons) > total:
-        return BasisVerdict("wrong_cardinality", None)
-    wit = _first_dependent(ideal, mons, slices)
-    if wit is not None:
-        return BasisVerdict("not_independent", wit)
-    if len(mons) < total:
-        # independent but too few: the lowest short degree has an escape
-        for sl in slices.values():
-            wit = sl.escape()
-            if wit is not None:
-                return BasisVerdict("not_spanning", wit)
-    return BasisVerdict("basis", None)
+            return m
+    return None

@@ -1,7 +1,9 @@
 import ast
+import copy
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +118,26 @@ def test_missing_file_exits_two(capsys):
     code, _, err = run(["info", "--input", "/no/such/file.json"], capsys)
     assert code == 2
     assert "matroidlab:" in err
+
+
+@pytest.mark.parametrize("argv,content", (
+    (["info", "--input"], None),
+    (["info", "--input"], b'{"type": "uniform", "labels": ["\xff"], "rank": 1}'),
+    (["info", "--input"], b"[" * 100_000),
+    (["info", "--input"], b"1" * 5000),
+    (["gen", "named", "k4", "--out"], None),
+), ids=("input-directory", "input-not-utf8", "json-too-deep", "integer-too-long", "out-directory"))
+def test_os_and_decoding_errors_exit_two(argv, content, tmp_path, capsys):
+    # content None makes the path a directory
+    path = tmp_path / "doc"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("matroidlab: ") and err.count("\n") == 1
 
 
 def test_unknown_fixture_exits_two(capsys):
@@ -417,12 +439,19 @@ U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
     (["info"], {"type": "uniform", "labels": ["a", 1.5], "rank": 1}, {}),
     (["info"], {"type": "uniform", "labels": ["a", None], "rank": 1}, {}),
     (["info"], {"type": "graphic", "labels": [True], "edges": [["u", "v"]]}, {}),
+    (["nbc", "check"], {"matroid": U23, "ordering": ["a", "b", 3]}, {}),
+    (["hvector"], {"matroid": U23, "ordering": ["a", "b", ["c"]]}, {}),
+    (["lsop"], {"matroid": U23, "ordering": ["a", "b", None]}, {}),
+    (["nbc", "check"], {"matroid": U23, "ordering": ["c", "a", True]}, {}),
+    (["nbc", "check"], {"matroid": U23, "ordering": ["c", "a", 1.5]}, {}),
 ), ids=(
     "uniform-without-rank", "float-rank", "string-rank", "bool-rank", "no-labels",
     "one-vertex-edge", "bad-entry", "bad-field", "nested-circuit", "matroid-not-object",
     "string-ordering", "bad-shard", "bad-sample", "checkpoint-every-0", "bad-workers-env",
     "field-above-2^64", "float-entry-q", "float-entry-gf2", "float-entry-gf3", "bool-entry",
     "null-entry", "list-label", "float-label", "null-label", "bool-label",
+    "int-ordering-item-off-ground", "list-ordering-item", "null-ordering-item",
+    "bool-ordering-item", "float-ordering-item",
 ))
 def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     for key, value in env.items():
@@ -432,6 +461,13 @@ def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("matroidlab: ") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+def test_integer_ordering_items_stand_for_their_decimal_strings(capsys, monkeypatch):
+    data = {"matroid": {"type": "uniform", "labels": [1, 2, 3], "rank": 2}, "ordering": [3, 1, 2]}
+    code, out, err = run(["nbc", "check"], capsys, monkeypatch, stdin_text=json.dumps(data))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ordering"] == ["3", "1", "2"]
 
 
 # the first standard ordering of U(2,4) and another one
@@ -450,6 +486,7 @@ def with_basis(state, first_basis, index=0):
 
 @pytest.mark.parametrize("edit", (
     lambda state: "{bad",
+    lambda state: "[" * 100_000,
     lambda state: json.dumps([state]),
     lambda state: json.dumps({k: v for k, v in state.items() if k != "cursor"}),
     lambda state: json.dumps({**state, "cursor": "24"}),
@@ -468,7 +505,7 @@ def with_basis(state, first_basis, index=0):
     lambda state: with_basis(state, {"index": 1, "ordering": U24_AT_1}),
     lambda state: with_basis(state, {"index": 24, "ordering": U24_AT_0}, index=24),
 ), ids=(
-    "not-json", "top-level-list", "no-cursor", "string-cursor", "tallies-list",
+    "not-json", "too-deep", "top-level-list", "no-cursor", "string-cursor", "tallies-list",
     "cursor-past-domain", "negative-cursor", "tallies-off-cursor", "string-basis-index",
     "first-basis-without-basis", "basis-without-first-basis", "string-first-basis-index",
     "first-basis-without-ordering", "bool-first-basis-index", "first-basis-extra-key",
@@ -495,3 +532,89 @@ def test_checkpoint_with_a_basis_resumes(tmp_path, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["first_basis"] == {"index": 0, "ordering": U24_AT_0}
+
+
+def _mutation_seeds(capsys):
+    """The well-formed documents the mutation test starts from."""
+    sources = [["named", name] for name in ("dualk33", "dualk33raw", "k33", "k4", "r10")]
+    sources += [[family, sizes] for family in ("theta", "phi") for sizes in ("2,2", "3,4", "2,3,2")]
+    seeds = []
+    for source in sources:
+        code, out, _ = run(["gen", *source], capsys)
+        assert code == 0, source
+        seeds.append(json.loads(out))
+    return seeds + [
+        {"matroid": uniform(2, 4).to_json(), "ordering": U24_AT_0},
+        uniform(2, 4).to_json(),
+        {"type": "circuits", "labels": ["a", "b", "c", "d"], "circuits": [["a", "b", "c"], ["d"]]},
+    ]
+
+
+# values of every JSON type, and integers no field or rank accepts
+_ODD_VALUES = (1.5, -0.0, True, False, None, 10**40, -(10**40), 0, -1, 2, "x", "", [], {}, [1], {"a": 1})
+
+
+def _mutate(rng, doc):
+    """Change one node of doc: drop a key or item, swap a value for one of
+    another type, nest it in a list, or add a key or item."""
+    nodes = [doc]
+    for node in nodes:  # every object and list in doc, parents first
+        nodes.extend(v for v in (node.values() if isinstance(node, dict) else node)
+                     if isinstance(v, (dict, list)))
+    node = rng.choice(nodes)
+    odd = copy.deepcopy(rng.choice(_ODD_VALUES))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = rng.choice(("drop", "swap", "nest", "add", "duplicate")) if keys else "add"
+    key = rng.choice(keys) if keys else None
+    if action == "drop":
+        del node[key]
+    elif action == "swap":
+        node[key] = odd
+    elif action == "nest":
+        node[key] = [node[key]]
+    elif isinstance(node, dict):
+        node[f"extra{len(node)}"] = odd
+    elif action == "add":
+        node.append(odd)
+    else:
+        node.insert(key, node[key])
+
+
+def _mutation_argv(rng):
+    field = ["--field", rng.choice(("gf2", "q", "gf3"))]
+    command = rng.choice(("info", "hvector", "lsop", "check", "search"))
+    if command in ("info", "hvector"):
+        return [command]
+    if command == "lsop":
+        return ["lsop", *field] + ["--standard-monomials"] * rng.randint(0, 1)
+    if command == "check":
+        return ["nbc", "check", *field, "--method", rng.choice(("macaulay", "groebner", "both"))]
+    # only sampled searches: over q R10 has no basis ordering, so a
+    # first-hit or exhaustive search of it would run through all of them
+    policy = f"sample:{rng.randint(1, 3)}:{rng.randint(0, 9)}"
+    return ["nbc", "search", *field, "--policy", policy, "--workers", "1"]
+
+
+def test_mutated_input_never_crashes(capsys, monkeypatch):
+    # every malformed document is refused with exit 2 and one matroidlab
+    # line, every well-formed one answered with one JSON document
+    rng = random.Random(2026)
+    seeds = _mutation_seeds(capsys)
+    for case in range(400):
+        doc = copy.deepcopy(rng.choice(seeds))
+        for _ in range(rng.randint(1, 2)):
+            _mutate(rng, doc)
+        argv = _mutation_argv(rng)
+        where = f"case {case}: {argv} on {json.dumps(doc)}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{where} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err, where
+        if code == 2:
+            assert err.splitlines()[-1].startswith("matroidlab"), where
+        else:
+            json.loads(out)

@@ -16,7 +16,6 @@ from matroidlab.polynomials import (
     Polynomial,
     _descending,
     groebner_basis,
-    monomial_set_is_basis,
     monomials_independent_in_quotient,
     monomials_of_degree,
     normal_form,
@@ -27,6 +26,7 @@ from matroidlab.polynomials import (
     standard_monomials,
     staircase,
 )
+from matroidlab.verify import _basis_kind
 
 X = Monomial.variable(1)
 Y = Monomial.variable(2)
@@ -213,25 +213,22 @@ def test_non_artinian_is_refused():
         standard_monomials(groebner_basis(ideal), 2)
     with pytest.raises(NotArtinian):
         quotient_dimension_macaulay(ideal)
-    with pytest.raises(NotArtinian):
-        monomial_set_is_basis(ideal, [Monomial.one()])
 
 
-def test_monomial_set_is_basis_kinds():
+def test_basis_kinds():
+    # criterion 8's verdict: both dimensions, then independence on both paths
     F = Q_FIELD
     ideal = Ideal.make(F, 2, [_poly(F, 2, "x1^2"), _poly(F, 2, "x2^2")])
+    assert quotient_dimension(ideal) == quotient_dimension_macaulay(ideal) == (4, (1, 2, 1))
     good = [Monomial.one(), X, Y, XY]
-    for method in ("macaulay", "groebner", "both"):
-        assert monomial_set_is_basis(ideal, good, method=method).is_basis
-    # independent but short: the missed standard monomial is the witness
-    short = monomial_set_is_basis(ideal, good[:3])
-    assert short.kind == "not_spanning"
-    assert short.witness == XY
-    crowded = monomial_set_is_basis(ideal, good + [X2])
-    assert crowded.kind == "wrong_cardinality"
-    swapped = monomial_set_is_basis(ideal, [Monomial.one(), X, Y, X2])
-    assert swapped.kind == "not_independent"
-    assert swapped.witness == X2
+    for method in METHODS:
+        assert monomials_independent_in_quotient(ideal, good, method) == (True, None)
+    assert _basis_kind(ideal, good) == "basis"
+    assert _basis_kind(ideal, good[:3]) == "not_spanning"  # independent but short
+    assert _basis_kind(ideal, good + [X2]) == "wrong_cardinality"
+    swapped = [Monomial.one(), X, Y, X2]
+    assert _basis_kind(ideal, swapped) == "not_independent"
+    assert monomials_independent_in_quotient(ideal, swapped, "both") == (False, X2)
 
 
 def test_monomials_independent_in_quotient():
@@ -248,9 +245,6 @@ def test_unknown_method_is_refused():
     ideal = Ideal.make(F, 2, [_poly(F, 2, "x1^2"), _poly(F, 2, "x2^2")])
     for method in METHODS:
         assert monomials_independent_in_quotient(ideal, [X, Y], method) == (True, None)
-        assert monomial_set_is_basis(ideal, [Monomial.one(), X, Y, XY], method).is_basis
-    with pytest.raises(BadParams):
-        monomial_set_is_basis(ideal, [Monomial.one(), X, Y, XY], method="bogus")
     with pytest.raises(BadParams):
         monomials_independent_in_quotient(ideal, [X, Y], method="bogus")
 
@@ -264,8 +258,6 @@ def test_macaulay_path_refuses_inhomogeneous_generators():
         ideal = Ideal.make(F, 2, [_poly(F, 2, g) for g in gens])
         with pytest.raises(BadParams, match="homogeneous"):
             monomials_independent_in_quotient(ideal, mons)
-        with pytest.raises(BadParams, match="homogeneous"):
-            monomial_set_is_basis(ideal, mons, method="macaulay")
         with pytest.raises(BadParams, match="homogeneous"):
             quotient_dimension_macaulay(ideal)
 
@@ -396,9 +388,14 @@ def test_groebner_method_computes_the_basis_once(monkeypatch):
     monkeypatch.setattr(poly, "groebner_basis", counted)
     F = Q_FIELD
     ideal = Ideal.make(F, 2, [_poly(F, 2, "x1^2"), _poly(F, 2, "x2^2")])
-    short = monomial_set_is_basis(ideal, [Monomial.one(), X, Y], method="groebner")
-    assert short.kind == "not_spanning" and short.witness == XY
+    short = [Monomial.one(), X, Y]
+    assert monomials_independent_in_quotient(ideal, short, "groebner") == (True, None)
     assert calls == ["grlex"]
+    # a basis passed in is used as it is
+    gb = groebner_basis(ideal)
+    calls.clear()
+    assert monomials_independent_in_quotient(ideal, [X, X2], "groebner", gb) == (False, X2)
+    assert calls == []
 
 
 def _random_homogeneous_ideal(rng, field, nvars):
@@ -466,20 +463,17 @@ def test_macaulay_and_groebner_paths_agree(field):
         else:
             pool = [m for d in range(4) for m in monomials_of_degree(nvars, d)]
             cand = rng.sample(pool, rng.randint(1, min(len(pool), len(std) + 1)))
-        mac = monomial_set_is_basis(ideal, cand, method="macaulay")
-        gro = monomial_set_is_basis(ideal, cand, method="groebner")
-        assert mac.kind == gro.kind
-        if mac.kind == "not_independent":
-            assert mac.witness == gro.witness
+        kind = _basis_kind(ideal, cand)
         assert quotient_dimension_macaulay(ideal) == quotient_dimension(ideal)
-        # the search-loop entry points give the same first dependent monomial
+        # both paths give the same first dependent monomial
         ok, wit = monomials_independent_in_quotient(ideal, cand)
-        assert normal_form_span(ideal, gb, cand)[0] == wit
+        assert normal_form_span(ideal, gb, cand) == wit
         assert monomials_independent_in_quotient(ideal, cand, "groebner", gb) == (ok, wit)
         assert monomials_independent_in_quotient(ideal, cand, "both") == (ok, wit)
-        if mac.kind == "not_independent":
-            assert wit == mac.witness
-        elif mac.kind != "wrong_cardinality":
+        if kind == "not_independent":
+            assert not ok
+        elif kind != "wrong_cardinality":
             assert ok and wit is None
-        kinds.add(mac.kind)
+            assert (kind == "basis") == (len(cand) == len(std))
+        kinds.add(kind)
     assert kinds == {"basis", "not_independent", "not_spanning", "wrong_cardinality"}
