@@ -30,10 +30,6 @@ class Ordering:
             raise BadParams("ordering has repeated labels")
         self._pos = {lab: i + 1 for i, lab in enumerate(self.labels)}
 
-    @classmethod
-    def natural(cls, ground) -> "Ordering":
-        return cls(tuple(ground))
-
     def position(self, label) -> int:
         p = self._pos.get(label)
         if p is None:

@@ -39,17 +39,18 @@ from .polynomials import (
 
 DEFAULT_CHECKPOINT_EVERY = 5000
 BASIS_INDEX_CAP = 100
+# orderings per task handed to a pool worker
+CHUNK_SIZE = 500
 
 
 class StandardOrdering:
     """An ordering whose last `rank` labels form a basis."""
 
-    __slots__ = ("ordering", "rank", "index")
+    __slots__ = ("ordering", "rank")
 
-    def __init__(self, ordering: Ordering, rank: int, index: int | None = None):
+    def __init__(self, ordering: Ordering, rank: int):
         self.ordering = ordering
         self.rank = rank
-        self.index = index
 
     @property
     def labels(self) -> tuple:
@@ -70,35 +71,23 @@ class StandardOrdering:
         return self.ordering.show()
 
 
-def standard_ordering(matroid: Matroid, labels, index: int | None = None) -> StandardOrdering:
+def standard_ordering(matroid: Matroid, labels) -> StandardOrdering:
     o = labels if isinstance(labels, Ordering) else Ordering(tuple(labels))
     o.validate_for(matroid)
     r = matroid.rank()
     basis = o.labels[len(o.labels) - r:]
     if r and not matroid.is_independent(frozenset(basis)):
         raise NotStandardOrdering(f"last {r} elements {basis} are not a basis")
-    return StandardOrdering(o, r, index)
+    return StandardOrdering(o, r)
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
-def _sorted_bases(matroid: Matroid) -> tuple:
-    cached = matroid._cache.get("sorted_bases")
-    if cached is None:
-        pos = matroid.position
-        cached = tuple(
-            tuple(sorted(b, key=pos.get))
-            for b in sorted(matroid.bases(), key=lambda b: tuple(sorted(pos[e] for e in b)))
-        )
-        matroid._cache["sorted_bases"] = cached
-    return cached
-
-
 def count_standard_orderings(matroid: Matroid) -> int:
     n = len(matroid.ground)
     r = matroid.rank()
-    return len(_sorted_bases(matroid)) * factorial(r) * factorial(n - r)
+    return len(matroid.bases()) * factorial(r) * factorial(n - r)
 
 
 def _perm_unrank(items, k: int) -> list:
@@ -113,7 +102,13 @@ def _perm_unrank(items, k: int) -> list:
 
 def standard_ordering_at(matroid: Matroid, k: int) -> StandardOrdering:
     """Unrank: index = (basis number, cobasis permutation, basis permutation)
-    in mixed radix, most significant first."""
+    in mixed radix, most significant first.
+
+    Basis number b is matroid.bases()[b], whose order is ascending by
+    position tuple.  Within a basis and its cobasis, _perm_unrank counts
+    permutations of the position-sorted labels in lexicographic order of
+    positions, so ordering indices ascend with (basis positions, cobasis
+    permutation, basis permutation)."""
     total = count_standard_orderings(matroid)
     if not 0 <= k < total:
         raise BadParams(f"ordering index {k} outside [0, {total})")
@@ -123,12 +118,12 @@ def standard_ordering_at(matroid: Matroid, k: int) -> StandardOrdering:
     f_cob = factorial(n - r)
     b_idx, rem = divmod(k, f_cob * f_bas)
     cob_rank, bas_rank = divmod(rem, f_bas)
-    basis = _sorted_bases(matroid)[b_idx]
-    bset = set(basis)
+    bset = matroid.bases()[b_idx]
     pos = matroid.position
+    basis = sorted(bset, key=pos.get)
     cobasis = sorted((e for e in matroid.ground if e not in bset), key=pos.get)
     labels = tuple(_perm_unrank(cobasis, cob_rank) + _perm_unrank(basis, bas_rank))
-    return StandardOrdering(Ordering(labels), r, index=k)
+    return StandardOrdering(Ordering(labels), r)
 
 
 # -- theta systems -------------------------------------------------------------
@@ -143,8 +138,6 @@ class ThetaSystem(NamedTuple):
     dropped); generators keeps every (circuit, polynomial) pair.
     """
 
-    std: StandardOrdering
-    field: Field
     cocircuit_matrix: Matrix
     forms: tuple
     substitution: dict
@@ -194,7 +187,7 @@ def lsop(
         substitution[j] = Polynomial(
             F, t, {Monomial.variable(i + 1): F.neg(row[i]) for i in range(t) if row[i] != z}
         )
-    cm = Matrix(F, coc_rows, col_labels=std.labels, row_labels=std.basis)
+    cm = Matrix(F, coc_rows, col_labels=std.labels)
     gens = []
     for C in matroid.circuits():
         least = min(position(e) for e in C)
@@ -211,7 +204,7 @@ def lsop(
         facets = bc_facets(matroid, std.ordering) if F.char == 2 else ()
         bad = next((f for f in facets if not basis_is_nonsingular(matroid, cm, f)), None)
         valid = bad is None
-    return ThetaSystem(std, F, cm, tuple(forms), substitution, tuple(gens), ideal, valid, bad)
+    return ThetaSystem(cm, tuple(forms), substitution, tuple(gens), ideal, valid, bad)
 
 
 # -- candidate monomials -------------------------------------------------------
@@ -628,7 +621,6 @@ def search_orderings(
     shard=None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    chunk_size: int = 500,
 ) -> SearchReport:
     """Run the basis decision over standard orderings chosen by the policy.
 
@@ -722,7 +714,7 @@ def search_orderings(
             while start < domain:
                 window = []
                 while start < domain and len(window) < workers * 4:
-                    window.append([indices[i] for i in range(start, min(start + chunk_size, domain))])
+                    window.append([indices[i] for i in range(start, min(start + CHUNK_SIZE, domain))])
                     start += len(window[-1])
                 futures = [pool.submit(_search_chunk, chunk) for chunk in window]
                 for fut in futures:

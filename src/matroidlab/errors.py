@@ -53,10 +53,6 @@ class DegenerateElement(MatroidlabError):
 class NotArtinian(MatroidlabError):
     """Quotient ring is not finite-dimensional."""
 
-    def __init__(self, msg: str, witness_variable: int | None = None):
-        super().__init__(msg)
-        self.witness_variable = witness_variable
-
 
 class NoCocircuitPair(MatroidlabError):
     """The last element and the last cobasis element are not a cocircuit,

@@ -160,6 +160,10 @@ class Rational(Field):
         return Fraction(n)
 
     def parse(self, token):
+        """An integer, p/q or a plain decimal.  An exponent is refused:
+        Fraction expands 1e999999999 into all of its digits."""
+        if "e" in token.lower():
+            raise ValueError(f"{token!r} has an exponent")
         return Fraction(token)
 
     def show(self, a) -> str:

@@ -131,16 +131,14 @@ def _check_support(field: Field, labels, row, want) -> None:
         raise AssertionError(f"row support {set(supp)} differs from {set(want)}")
 
 
-def fundamental_matrices(
-    matroid: Matroid, ordering, field: Field, validate: bool = True
-) -> FundamentalMatrices:
+def fundamental_matrices(matroid: Matroid, ordering, field: Field) -> FundamentalMatrices:
     """Signed fundamental circuit/cocircuit incidence for the ordering's basis.
 
     The cocircuit rows come from fundamental_rows, the circuit rows from
     _circuit_row on the same rows, which makes the two matrices orthogonal.
-    With validate, the supports over a field of characteristic other than 2
-    (where the rows come from a representation) are checked against the
-    independence oracle.
+    Over a field of characteristic other than 2, where the rows come from a
+    representation, their supports are checked against the independence
+    oracle.
     """
     labels, cobasis, basis = _split_ordering(matroid, ordering)
     F = field
@@ -148,11 +146,9 @@ def fundamental_matrices(
     rows = fundamental_rows(matroid, basis, F)
     coc_rows = [[rows[b].get(lab, z) for lab in labels] for b in basis]
     circ_rows = [_circuit_row(F, rows, e, labels) for e in cobasis]
-    cm = Matrix(F, circ_rows, col_labels=labels, row_labels=cobasis) \
-        if circ_rows else Matrix(F, [], col_labels=labels)
-    dm = Matrix(F, coc_rows, col_labels=labels, row_labels=basis) \
-        if coc_rows else Matrix(F, [], col_labels=labels)
-    if validate and F.char != 2:
+    cm = Matrix(F, circ_rows, col_labels=labels)
+    dm = Matrix(F, coc_rows, col_labels=labels)
+    if F.char != 2:
         bset = frozenset(basis)
         for e, row in zip(cobasis, circ_rows):
             _check_support(F, labels, row, matroid.fundamental_circuit(bset, e))
@@ -172,7 +168,7 @@ def _full_matrix(matroid: Matroid, field: Field, ordering, elementary, row_of) -
     {0, +1, -1} exactly when one of those vectors does: NotRegular is raised
     exactly where a per-(co)circuit null-space solve would raise it.
     """
-    labels = tuple(ordering) if ordering is not None else matroid.ground
+    labels = tuple(ordering)
     if sorted(labels) != sorted(matroid.ground):
         raise BadParams("ordering is not a permutation of the ground set")
     sets = elementary()
@@ -184,11 +180,10 @@ def _full_matrix(matroid: Matroid, field: Field, ordering, elementary, row_of) -
         inv = field.inv(next(x for x in row if x != field.zero()))
         rows.append([field.mul(inv, x) for x in row])
         _check_support(field, labels, rows[-1], s)
-    names = ["{" + ",".join(sorted(c, key=matroid.position.get)) + "}" for c in sets]
-    return Matrix(field, rows, col_labels=labels, row_labels=names or None)
+    return Matrix(field, rows, col_labels=labels)
 
 
-def full_circuit_matrix(matroid: Matroid, field: Field, ordering=None) -> Matrix:
+def full_circuit_matrix(matroid: Matroid, field: Field, ordering) -> Matrix:
     """One signed row per circuit, first nonzero entry +1, rows in circuit order.
 
     A circuit C with least element e is C(B, e) for B the greedy basis of
@@ -205,7 +200,7 @@ def full_circuit_matrix(matroid: Matroid, field: Field, ordering=None) -> Matrix
     return _full_matrix(matroid, field, ordering, matroid.circuits, row_of)
 
 
-def full_cocircuit_matrix(matroid: Matroid, field: Field, ordering=None) -> Matrix:
+def full_cocircuit_matrix(matroid: Matroid, field: Field, ordering) -> Matrix:
     """One signed row per cocircuit, first nonzero entry +1, rows in cocircuit order.
 
     A cocircuit D with least element b is C*(B, b) for B the greedy basis of

@@ -10,22 +10,30 @@ fraction-free; neither leaks into the public contract.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
-from .errors import BadParams, BadRank, BadSize, SingularBasis
-from .fields import Field, Q_FIELD
+from .errors import BadParams, BadRank, BadSize, Overbudget, SingularBasis
+from .fields import Field, GF2_FIELD, GFp, Q_FIELD
+
+# the most ground elements (or columns of a standard form) an enumeration takes
+ENUMERATION_CAP = 20
+# 2^61 - 1, a Mersenne prime: the modulus of the rank tests over Q in the
+# column backend and in is_unimodular_standard_form
+RESIDUE_PRIME = (1 << 61) - 1
+RESIDUE_FIELD = GFp(RESIDUE_PRIME)
 
 
 class Matrix:
     """Immutable matrix over an exact field.
 
-    entries is a tuple of row tuples.  col_labels/row_labels are optional
-    display metadata and never affect arithmetic or equality.
+    entries is a tuple of row tuples.  col_labels are optional metadata
+    and never affect arithmetic or equality.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "entries", "col_labels", "row_labels")
+    __slots__ = ("field", "nrows", "ncols", "entries", "col_labels")
 
-    def __init__(self, field: Field, entries, col_labels=None, row_labels=None):
+    def __init__(self, field: Field, entries, col_labels=None):
         rows = tuple(tuple(r) for r in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise BadSize("ragged rows")
@@ -34,14 +42,13 @@ class Matrix:
         self.ncols = len(rows[0]) if rows else 0
         self.entries = rows
         self.col_labels = tuple(col_labels) if col_labels is not None else None
-        self.row_labels = tuple(row_labels) if row_labels is not None else None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int_rows(cls, field: Field, rows, col_labels=None, row_labels=None) -> "Matrix":
+    def from_int_rows(cls, field: Field, rows, col_labels=None) -> "Matrix":
         conv = field.from_int
-        return cls(field, [[conv(x) for x in r] for r in rows], col_labels, row_labels)
+        return cls(field, [[conv(x) for x in r] for r in rows], col_labels)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -90,7 +97,7 @@ class Matrix:
 
     def map_to_field(self, field: Field) -> "Matrix":
         """Reinterpret integral entries in another field (e.g. TU matrix mod 2)."""
-        return Matrix.from_int_rows(field, _integer_entries(self), self.col_labels, self.row_labels)
+        return Matrix.from_int_rows(field, _integer_entries(self), self.col_labels)
 
     # -- elimination -------------------------------------------------------
 
@@ -129,13 +136,11 @@ class Matrix:
         """True when every square submatrix has determinant -1, 0 or +1.
 
         Entries must already be in {-1, 0, 1}.  Decided by the regularity
-        certificate matroids.is_unimodular_standard_form on [I | self],
-        which is totally unimodular exactly when self is; it enumerates
-        column subsets, so [I | self] with more than ENUMERATION_CAP columns
-        raises Overbudget.
+        certificate is_unimodular_standard_form on [I | self], which is
+        totally unimodular exactly when self is; it enumerates column
+        subsets, so [I | self] with more than ENUMERATION_CAP columns raises
+        Overbudget.
         """
-        from .matroids import is_unimodular_standard_form  # matroids imports linalg
-
         ints = _integer_entries(self)
         if any(x not in (-1, 0, 1) for r in ints for x in r):
             raise BadParams("entries must be in {-1, 0, 1}")
@@ -403,4 +408,49 @@ def is_sign_rescaling(a: Matrix, b: Matrix) -> bool:
             odd = x != y
             if not forest.join(i, n + j, odd) and forest.find(i)[1] ^ forest.find(n + j)[1] != odd:
                 return False
+    return True
+
+
+# -- the regularity certificate ------------------------------------------------
+
+
+def is_unimodular_standard_form(sf: Matrix, basis, ref: Matrix | None = None) -> bool:
+    """True when sf = [I | T] over Q, in standard form on the columns
+    `basis`, is totally unimodular and, if ref (a standard form on the same
+    basis, over any field) is given, has ref's column matroid.
+
+    The test: entries in {0, +-1}, and sf over Q, sf mod 2 and ref have the
+    same bases.  A standard form's maximal minor on the columns
+    (basis - R) + C is +-det of its submatrix on rows R and columns C.  A
+    square {0, +-1} matrix that is not TU while its proper submatrices are
+    has determinant +-2 (Camion 1965), so if T is not TU, some such minor
+    is nonzero over Q and zero mod 2; if T is TU, each is 0 or +-1, nonzero
+    iff odd.  Mod RESIDUE_PRIME the test over Q is exact: a k x k
+    {0, +-1} matrix has |det| <= k^(k/2) < RESIDUE_PRIME for k <= 20.
+    """
+    if sf.ncols > ENUMERATION_CAP:
+        raise Overbudget(f"{sf.ncols} columns exceed cap {ENUMERATION_CAP}")
+    if any(x not in (-1, 0, 1) for r in sf.entries for x in r):
+        return False
+    basis = sorted(basis)
+    rest = sorted(set(range(sf.ncols)) - set(basis))
+    T = [[int(row[j]) % RESIDUE_PRIME for j in rest] for row in sf.entries]
+    if ref is not None and ref.field.char == 2:
+        # a binary standard form is the fundamental-cocircuit incidence of
+        # its matroid on the basis, so equal matroids mean equal matrices
+        if [[x % 2 for x in r] for r in sf.entries] != [list(r) for r in ref.entries]:
+            return False
+        ref = None
+    A = ref and [[row[j] for j in rest] for row in ref.entries]
+    for k in range(min(len(basis), len(rest)) + 1):
+        for R in combinations(range(len(basis)), k):
+            for C in combinations(range(len(rest)), k):
+                cols = [[T[i][c] for i in R] for c in C]
+                # an odd determinant is nonzero: only an even one can differ over Q
+                mod2, modp = RowSpace(GF2_FIELD, k), RowSpace(RESIDUE_FIELD, k)
+                odd = all(mod2.add(col) for col in cols)
+                if not odd and all(modp.add(col) for col in cols):
+                    return False
+                if A and (Matrix(ref.field, [[A[i][c] for c in C] for i in R]).rank() == k) != odd:
+                    return False
     return True

@@ -4,7 +4,7 @@ Four backends share one independence-oracle interface: column matroids of
 exact matrices, graphic matroids of edge lists, uniform matroids, and
 explicit circuit lists (used for parallel connections).  Enumerations
 (circuits, cocircuits, bases) are cached and refuse ground sets larger
-than a configurable cap, since everything here is desk scale by design.
+than ENUMERATION_CAP, since everything here is desk scale by design.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from .errors import (
     Overbudget,
     SingularBasis,
 )
-from .fields import Field, GF2_FIELD, GFp, Q_FIELD, field_from_name
-from .linalg import Matrix, RowSpace, is_sign_rescaling, tu_signing
-
-ENUMERATION_CAP = 20
-# 2^61 - 1, a Mersenne prime: the modulus of the column backend's rank test over Q
-RESIDUE_PRIME = (1 << 61) - 1
-RESIDUE_FIELD = GFp(RESIDUE_PRIME)
+from .fields import Field, Q_FIELD, field_from_name
+from .linalg import (
+    ENUMERATION_CAP, RESIDUE_FIELD, RESIDUE_PRIME, Matrix, RowSpace,
+    is_sign_rescaling, is_unimodular_standard_form, tu_signing,
+)
 
 
 def validate_ground(labels) -> tuple:
@@ -133,7 +131,6 @@ class _UniformBackend:
         if not 0 <= r <= n:
             raise BadRank(f"uniform rank {r} outside [0, {n}]")
         self.r = r
-        self.n = n
 
     def indep(self, subset) -> bool:
         return len(subset) <= self.r
@@ -209,26 +206,20 @@ class Matroid:
                 picked.pop()
         return picked
 
-    def corank(self, subset) -> int:
-        """Rank in the dual: |S| - r(M) + r(E - S)."""
-        s = set(subset)
-        return len(s) - self.rank() + self.rank([e for e in self.ground if e not in s])
-
     def is_coindependent(self, subset) -> bool:
         s = set(subset)
         return self.rank([e for e in self.ground if e not in s]) == self.rank()
 
     # -- enumeration ---------------------------------------------------------
 
-    def _guard(self, cap):
-        cap = ENUMERATION_CAP if cap is None else cap
-        if len(self.ground) > cap:
-            raise Overbudget(f"ground set of {len(self.ground)} exceeds cap {cap}")
+    def _guard(self):
+        if len(self.ground) > ENUMERATION_CAP:
+            raise Overbudget(f"ground set of {len(self.ground)} exceeds cap {ENUMERATION_CAP}")
 
-    def circuits(self, cap: int | None = None) -> tuple:
+    def circuits(self) -> tuple:
         if "circuits" in self._cache:
             return self._cache["circuits"]
-        self._guard(cap)
+        self._guard()
         if isinstance(self.backend, _CircuitBackend):
             found = list(self.backend.circuits)
         elif isinstance(self.backend, _UniformBackend):
@@ -244,11 +235,11 @@ class Matroid:
         self._cache["circuits"] = found
         return found
 
-    def cocircuits(self, cap: int | None = None) -> tuple:
-        """Circuits of the dual, enumerated through the corank oracle."""
+    def cocircuits(self) -> tuple:
+        """Circuits of the dual, enumerated through the coindependence oracle."""
         if "cocircuits" in self._cache:
             return self._cache["cocircuits"]
-        self._guard(cap)
+        self._guard()
         corank_limit = len(self.ground) - self.rank() + 1
         found = self._minimal_scan(self.is_coindependent, corank_limit)
         found = tuple(sorted(found, key=self._circuit_key))
@@ -278,10 +269,12 @@ class Matroid:
     def _circuit_key(self, c):
         return tuple(sorted(self.position[e] for e in c))
 
-    def bases(self, cap: int | None = None) -> tuple:
+    def bases(self) -> tuple:
+        """The bases, ascending by their tuple of ground positions, since
+        combinations yields r-subsets of the ground set in that order."""
         if "bases" in self._cache:
             return self._cache["bases"]
-        self._guard(cap)
+        self._guard()
         r = self.rank()
         out = tuple(
             frozenset(b)
@@ -660,9 +653,9 @@ def _basepoint_first(mat: Matrix, col: int) -> Matrix:
     return Matrix(mat.field, [work[pr]] + rest)
 
 
-def cocircuits_via_transversals(m: Matroid, cap: int | None = None) -> tuple:
+def cocircuits_via_transversals(m: Matroid) -> tuple:
     """Independent path: cocircuits as minimal sets meeting every basis."""
-    bases = m.bases(cap)
+    bases = m.bases()
     found: list = []
     n = len(m.ground)
     for k in range(1, n + 1):
@@ -703,48 +696,6 @@ def _pivot(mat: Matrix, col: int, what: str) -> tuple:
 
 def _support(mat: Matrix) -> Matrix:
     return Matrix.from_int_rows(Q_FIELD, [[1 if x else 0 for x in r] for r in mat.entries])
-
-
-def is_unimodular_standard_form(sf: Matrix, basis, ref: Matrix | None = None) -> bool:
-    """True when sf = [I | T] over Q, in standard form on the columns
-    `basis`, is totally unimodular and, if ref (a standard form on the same
-    basis, over any field) is given, has ref's column matroid.
-
-    The test: entries in {0, +-1}, and sf over Q, sf mod 2 and ref have the
-    same bases.  A standard form's maximal minor on the columns
-    (basis - R) + C is +-det of its submatrix on rows R and columns C.  A
-    square {0, +-1} matrix that is not TU while its proper submatrices are
-    has determinant +-2 (Camion 1965), so if T is not TU, some such minor
-    is nonzero over Q and zero mod 2; if T is TU, each is 0 or +-1, nonzero
-    iff odd.  Mod RESIDUE_PRIME the test over Q is exact: a k x k
-    {0, +-1} matrix has |det| <= k^(k/2) < RESIDUE_PRIME for k <= 20.
-    """
-    if sf.ncols > ENUMERATION_CAP:
-        raise Overbudget(f"{sf.ncols} columns exceed cap {ENUMERATION_CAP}")
-    if any(x not in (-1, 0, 1) for r in sf.entries for x in r):
-        return False
-    basis = sorted(basis)
-    rest = sorted(set(range(sf.ncols)) - set(basis))
-    T = [[int(row[j]) % RESIDUE_PRIME for j in rest] for row in sf.entries]
-    if ref is not None and ref.field.char == 2:
-        # a binary standard form is the fundamental-cocircuit incidence of
-        # its matroid on the basis, so equal matroids mean equal matrices
-        if [[x % 2 for x in r] for r in sf.entries] != [list(r) for r in ref.entries]:
-            return False
-        ref = None
-    A = ref and [[row[j] for j in rest] for row in ref.entries]
-    for k in range(min(len(basis), len(rest)) + 1):
-        for R in combinations(range(len(basis)), k):
-            for C in combinations(range(len(rest)), k):
-                cols = [[T[i][c] for i in R] for c in C]
-                # an odd determinant is nonzero: only an even one can differ over Q
-                mod2, modp = RowSpace(GF2_FIELD, k), RowSpace(RESIDUE_FIELD, k)
-                odd = all(mod2.add(col) for col in cols)
-                if not odd and all(modp.add(col) for col in cols):
-                    return False
-                if A and (Matrix(ref.field, [[A[i][c] for c in C] for i in R]).rank() == k) != odd:
-                    return False
-    return True
 
 
 def _signed_incidence(be: _GraphicBackend, ground) -> Matrix:

@@ -150,8 +150,6 @@ def order_key(order: str, nvars: int):
         return lambda m: m.exps + zeros[len(m.exps):]
     if order == "grlex":
         return lambda m: (m._degree, m.exps)
-    if order == "grevlex":
-        return lambda m: (m._degree, tuple(-e for e in reversed(m.exps + zeros[len(m.exps):])))
     raise BadParams(f"unknown monomial order {order!r}")
 
 
@@ -196,12 +194,8 @@ class Polynomial:
         F = self.field
         return Polynomial(F, self.nvars, {m: F.mul(c, v) for m, v in self.terms.items()})
 
-    def term_mul(self, mono: Monomial, c=None) -> "Polynomial":
-        F = self.field
-        c = F.one() if c is None else c
-        return Polynomial(
-            F, self.nvars, {m.mul(mono): F.mul(c, v) for m, v in self.terms.items()}
-        )
+    def term_mul(self, mono: Monomial) -> "Polynomial":
+        return Polynomial(self.field, self.nvars, {m.mul(mono): v for m, v in self.terms.items()})
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         F = self.field
@@ -238,11 +232,12 @@ class Polynomial:
 
     # -- text syntax --------------------------------------------------------
 
-    def show(self, order: str = "grlex") -> str:
+    def show(self) -> str:
+        """The terms in descending grlex order."""
         if self.is_zero():
             return "0"
         F = self.field
-        key = order_key(order, self.nvars)
+        key = order_key("grlex", self.nvars)
         out = []
         for i, (m, c) in enumerate(self.sorted_terms(key)):
             cs = F.show(c)
@@ -451,7 +446,7 @@ def staircase(gens, nvars: int) -> tuple:
         at[len(g.exps)].append((g.exps[-1], g.exps[:-1]))
     for v in range(1, nvars + 1):
         if all(any(rest) for _, rest in at[v]):
-            raise NotArtinian(f"no pure power of x{v} among the generators", v)
+            raise NotArtinian(f"no pure power of x{v} among the generators")
     out = []
 
     def rec(prefix: tuple):
@@ -562,18 +557,16 @@ def _first_dependent(ideal: Ideal, mons) -> Monomial | None:
     return None
 
 
-def quotient_dimension_macaulay(ideal: Ideal, cap: int | None = None) -> tuple:
+def quotient_dimension_macaulay(ideal: Ideal) -> tuple:
     """(total, by-degree) by dense rank per degree; no Groebner machinery.
 
     Requires homogeneous generators, for which the quotient vanishes in
     every degree above the first degree where it vanishes.  If it has not
-    vanished by `cap` (default: sum of generator degrees, a
-    complete-intersection-style regularity bound) the quotient is declared
-    non-Artinian.
+    vanished by the sum of the generator degrees (a complete-intersection-
+    style regularity bound), or by MACAULAY_DEGREE_CAP if that is smaller,
+    the quotient is declared non-Artinian.
     """
-    if cap is None:
-        cap = sum(g.total_degree() for g in ideal.generators) or 1
-    cap = min(cap, MACAULAY_DEGREE_CAP)
+    cap = min(sum(g.total_degree() for g in ideal.generators) or 1, MACAULAY_DEGREE_CAP)
     by_deg: list = []
     while True:
         dim = _MacaulaySlice(ideal, len(by_deg)).dim
@@ -581,7 +574,7 @@ def quotient_dimension_macaulay(ideal: Ideal, cap: int | None = None) -> tuple:
             return (sum(by_deg), tuple(by_deg))
         by_deg.append(dim)
         if len(by_deg) > cap:
-            raise NotArtinian(f"quotient still growing at degree {cap}", None)
+            raise NotArtinian(f"quotient still growing at degree {cap}")
 
 
 def monomials_independent_in_quotient(

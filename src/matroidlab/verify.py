@@ -241,20 +241,21 @@ def _r10_search(exhaustive: bool = False, workers: int | None = None) -> tuple:
 # -- criterion 5: glued uniform families ------------------------------------------
 
 
-def _compositions(max_sum: int = 12, max_parts: int = 4, min_part: int = 2) -> tuple:
+def _compositions() -> tuple:
+    """Every composition with at most 4 parts, each at least 2, summing to at most 12."""
     out = []
 
     def rec(prefix: list, budget: int) -> None:
         if prefix:
             out.append(tuple(prefix))
-        if len(prefix) == max_parts:
+        if len(prefix) == 4:
             return
-        for p in range(min_part, budget + 1):
+        for p in range(2, budget + 1):
             prefix.append(p)
             rec(prefix, budget - p)
             prefix.pop()
 
-    rec([], max_sum)
+    rec([], 12)
     return tuple(out)
 
 
@@ -328,7 +329,7 @@ def _recursion_suite() -> tuple:
     flat += [(name, m, std) for name, m, std in family_fixtures()]
     h_checked = h_skipped = 0
     for name, m, std in flat:
-        o = std.ordering if std is not None else Ordering.natural(m.ground)
+        o = std.ordering if std is not None else Ordering(m.ground)
         for e in o.labels:
             try:
                 rr = h_recursion_check(m, o, e)
@@ -473,7 +474,7 @@ def _order_invariance() -> tuple:
     problems = []
     fixtures = uniform_fixtures() + named_fixtures()
     for name, m in fixtures:
-        base = f_h_vectors(m, Ordering.natural(m.ground))
+        base = f_h_vectors(m, Ordering(m.ground))
         rng = random.Random(f"faces:{name}")
         for _ in range(5):
             labels = list(m.ground)

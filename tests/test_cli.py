@@ -152,6 +152,19 @@ def test_gen_without_argument_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_gen_refuses_a_ground_set_past_the_bound(capsys):
+    # the ground set is counted before anything is built, so a huge size
+    # costs no time or memory; 200 elements is the most that is built
+    for sizes in (["theta", "201"], ["phi", "100,102"], ["theta", "100000000000"],
+                  ["phi", "3," * 10**5 + "3"]):
+        code, out, err = run(["gen", *sizes], capsys)
+        assert (code, out) == (2, ""), sizes
+        assert err.startswith("matroidlab: ") and err.count("\n") == 1, sizes
+        assert "exceeds 200" in err, sizes
+    for sizes in (["theta", "200"], ["phi", "100,101"]):
+        assert run(["gen", *sizes], capsys)[0] == 0, sizes
+
+
 def test_gen_list(capsys):
     code, out, _ = run(["gen", "list"], capsys)
     assert code == 0
@@ -444,6 +457,9 @@ U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
     (["lsop"], {"matroid": U23, "ordering": ["a", "b", None]}, {}),
     (["nbc", "check"], {"matroid": U23, "ordering": ["c", "a", True]}, {}),
     (["nbc", "check"], {"matroid": U23, "ordering": ["c", "a", 1.5]}, {}),
+    (["info"], {"type": "column", "labels": ["a"], "field": "q", "matrix": [["1e10000000"]]}, {}),
+    (["info"], {"type": "column", "labels": ["a"], "field": "q", "matrix": [["1E5"]]}, {}),
+    (["info"], {"type": "column", "labels": ["a"], "field": "q", "matrix": [["2.5e-1"]]}, {}),
 ), ids=(
     "uniform-without-rank", "float-rank", "string-rank", "bool-rank", "no-labels",
     "one-vertex-edge", "bad-entry", "bad-field", "nested-circuit", "matroid-not-object",
@@ -451,7 +467,8 @@ U23 = {"type": "uniform", "labels": ["a", "b", "c"], "rank": 2}
     "field-above-2^64", "float-entry-q", "float-entry-gf2", "float-entry-gf3", "bool-entry",
     "null-entry", "list-label", "float-label", "null-label", "bool-label",
     "int-ordering-item-off-ground", "list-ordering-item", "null-ordering-item",
-    "bool-ordering-item", "float-ordering-item",
+    "bool-ordering-item", "float-ordering-item", "huge-exponent-entry-q",
+    "capital-exponent-entry-q", "negative-exponent-entry-q",
 ))
 def test_malformed_input_exits_two(argv, data, env, capsys, monkeypatch):
     for key, value in env.items():
@@ -609,6 +626,131 @@ def test_mutated_input_never_crashes(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
         try:
             code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{where} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err, where
+        if code == 2:
+            assert err.splitlines()[-1].startswith("matroidlab"), where
+        else:
+            json.loads(out)
+
+
+# the values each flag is mutated to: well-formed ones, then malformed,
+# overlong and non-ASCII ones
+_FLAG_VALUES = {
+    "--field": ("gf2", "q", "gf3", "GF5", "rational", "gf4", "gf1", "gf", "gf٣", "",
+                "gf" + "7" * 30, "gf18446744073709551557"),
+    "--policy": ("first-hit", "exhaustive", "sample:3:1", "sample:0:1", "sample:-2:1",
+                 "sample:x:1", "sample:3", "sample:3:1:1", "sample:٣:1", "", "all",
+                 "sample:3:" + "9" * 5000, "sample:" + "9" * 30 + ":1"),
+    "--shard": ("0/1", "1/2", "0/0", "2/2", "-1/2", "x/2", "1", "1/2/3", "", "/", "٠/٢",
+                "0/" + "9" * 30),
+    "--checkpoint-every": ("1", "0", "-1", "x", "", "1.5", "9" * 30),
+    # a process pool forks all its workers at once, so no count above 1
+    "--workers": ("1", "0", "-1", "x", ""),
+    "--method": ("macaulay", "groebner", "both", "dense"),
+    "--order": ("grlex", "lex", "grevlex"),
+}
+# every value here is refused, since a valid criterion runs it
+_BAD_CRITERIA = ("0", "10", "-1", "x", "", "1.5", "1e3", "9" * 30)
+_GEN_ARGS = (
+    ("theta", "100000000000"), ("theta", "201"), ("phi", "-3"), ("theta", "2,-2"),
+    ("phi", "2,,3"), ("theta", ","), ("theta", ""), ("theta", "٣,٤"), ("phi", "２,２"),
+    ("theta", "1,1"), ("phi", "2.5"), ("theta", "9" * 5000), ("phi", "2," * 5),
+    ("named", "k4"), ("named", "K-4"), ("named", "nope"), ("named", ""), ("list", ""),
+)
+# entries with an exponent, as JSON strings and as JSON numbers
+_EXPONENTS = ("1e10000000", "1E5", "2.5e-1", "-0e0", 1e5, 1e400)
+
+
+def _argv_flags(rng, *flags):
+    out = []
+    for flag in flags:
+        if rng.random() < 0.5:
+            out += [flag, rng.choice(_FLAG_VALUES[flag])]
+    return out
+
+
+def _mutated_ordering(rng, labels):
+    labels = list(labels)
+    rng.shuffle(labels)
+    kind = rng.choice(("permuted", "short", "repeated", "unknown", "empty", "spaced"))
+    if kind == "short":
+        labels.pop()
+    elif kind == "repeated":
+        labels[-1] = labels[0]
+    elif kind == "unknown":
+        labels[0] = rng.choice(("zz", "é", "1e5"))
+    elif kind == "empty":
+        return rng.choice(("", ",", ",,"))
+    return (" , " if kind == "spaced" else ",").join(labels)
+
+
+def _mutated_command(rng, labels):
+    ordering = ["--ordering", _mutated_ordering(rng, labels)] * rng.randint(0, 1)
+    command = rng.choice(("info", "hvector", "lsop", "check", "search", "verify", "gen"))
+    if command == "info":
+        return ["info"]
+    if command == "hvector":
+        return ["hvector", *ordering]
+    if command == "lsop":
+        return ["lsop", *_argv_flags(rng, "--field", "--order"), *ordering] + [
+            "--standard-monomials"] * rng.randint(0, 1)
+    if command == "check":
+        return ["nbc", "check", *_argv_flags(rng, "--field", "--method"), *ordering]
+    if command == "search":
+        flags = _argv_flags(rng, "--field", "--policy", "--shard", "--checkpoint-every", "--workers")
+        return ["nbc", "search", *flags] + ordering * rng.randint(0, 1)
+    if command == "verify":
+        flags = ["--workers", rng.choice(_FLAG_VALUES["--workers"])] * rng.randint(0, 1)
+        flags += ["--exhaustive-r10"] * rng.randint(0, 1) + ["--timing"] * rng.randint(0, 1)
+        target = rng.choice(("paper", "paper", "papers"))
+        return ["verify", target, "--criterion", rng.choice(_BAD_CRITERIA), *flags]
+    family, arg = rng.choice(_GEN_ARGS)
+    return ["gen", family] + ([arg] if arg or rng.random() < 0.5 else [])
+
+
+def _mutated_text(rng, doc):
+    """doc as JSON text with an exponent entry, a BOM, a cut, or as it is."""
+    kind = rng.choice(("plain", "plain", "exponent", "bom", "cut"))
+    if kind == "exponent" and doc.get("field") == "q":
+        doc = copy.deepcopy(doc)
+        doc["matrix"][rng.randrange(len(doc["matrix"]))][0] = rng.choice(_EXPONENTS)
+    text = json.dumps(doc)
+    if kind == "bom":
+        return "\ufeff" + text
+    if kind == "cut":
+        return text[:rng.randrange(len(text))]
+    return text
+
+
+def test_mutated_argv_never_crashes(capsys, monkeypatch):
+    # every malformed command line or input text is refused with exit 2 and
+    # a last stderr line from matroidlab, every well-formed one answered
+    # with one JSON document; all inputs are small, so exhaustive and
+    # first-hit searches end quickly
+    monkeypatch.delenv("MATROIDLAB_WORKERS", raising=False)
+    rng = random.Random(2027)
+    docs = [
+        json.loads(run(["gen", "named", "k4"], capsys)[1]),
+        json.loads(run(["gen", "theta", "2,3"], capsys)[1]),
+        {"matroid": uniform(2, 4).to_json(), "ordering": U24_AT_0},
+        {"type": "column", "labels": ["a", "b", "c", "d"], "field": "q",
+         "matrix": [["1", "0", "1/2", "3"], ["0", "1", "-1", "0.5"]]},
+    ]
+    for case in range(400):
+        doc = rng.choice(docs)
+        labels = (doc.get("matroid") or doc)["labels"]
+        argv = _mutated_command(rng, labels)
+        text = _mutated_text(rng, doc)
+        where = f"case {case}: {argv} on {text[:200]!r}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed command line
+            code = exc.code
         except Exception as exc:
             pytest.fail(f"{where} raised {exc!r}")
         out, err = capsys.readouterr()

@@ -164,7 +164,7 @@ def test_k4_face_counts_and_purity():
     m = from_graph(
         [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
     )
-    o = Ordering.natural(m.ground)
+    o = Ordering(m.ground)
     f, h = f_h_vectors(m, o)
     assert f == (1, 6, 11, 6)
     assert h.entries == (1, 3, 2, 0)

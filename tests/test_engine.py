@@ -65,7 +65,7 @@ def test_engine_matrix_matches_incidence():
     m = uniform(2, 3)
     std = standard_ordering(m, ("e1", "e2", "e3"))
     for field in (Q_FIELD, GF2_FIELD):
-        fm = fundamental_matrices(m, std.labels, field, validate=True)
+        fm = fundamental_matrices(m, std.labels, field)
         th = lsop(m, std, field)
         assert fm.cocircuit_matrix.entries == th.cocircuit_matrix.entries
 
@@ -148,9 +148,7 @@ def test_ordering_enumeration_bijective():
     assert count_standard_orderings(m) == 6
     seen = set()
     for k in range(6):
-        s = standard_ordering_at(m, k)
-        assert s.index == k
-        seen.add(s.labels)
+        seen.add(standard_ordering_at(m, k).labels)
     assert len(seen) == 6
     assert standard_ordering_at(m, 0).labels == ("e3", "e1", "e2")
     with pytest.raises(BadParams):
@@ -232,12 +230,13 @@ def test_search_shard_validation(shard):
     ("dualk33", Q_FIELD, "first-hit", None),
     ("dualk33", Q_FIELD, "sample:120:5", "1/2"),
 ))
-def test_search_reports_do_not_depend_on_workers(name, field, policy, shard):
+def test_search_reports_do_not_depend_on_workers(name, field, policy, shard, monkeypatch):
     # small chunks put a first hit in the middle of a chunk: the cursor must
     # stop at the hit, not at the end of the chunk that holds it
+    monkeypatch.setattr(engine, "CHUNK_SIZE", 50)
     m = named_matroid(name)
     reports = [
-        search_orderings(m, field, policy=policy, workers=w, shard=shard, chunk_size=50)
+        search_orderings(m, field, policy=policy, workers=w, shard=shard)
         for w in (1, 2)
     ]
     assert reports[0] == reports[1]

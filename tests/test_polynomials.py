@@ -91,11 +91,10 @@ def test_monomial_matches_padded_reference():
     def padded(e):
         return tuple(e) + (0,) * (width - len(e))
 
-    keys = {order: order_key(order, width) for order in ("lex", "grlex", "grevlex")}
+    keys = {order: order_key(order, width) for order in ("lex", "grlex")}
     ref_keys = {
         "lex": lambda p: p,
         "grlex": lambda p: (sum(p), p),
-        "grevlex": lambda p: (sum(p), tuple(-e for e in reversed(p))),
     }
     for ea in vecs:
         a, pa = Monomial(ea), padded(ea)
@@ -279,12 +278,10 @@ def test_standard_monomials_edge_cases():
     assert standard_monomials(unit, 2) == ()
     assert standard_monomials((), 0) == (Monomial.one(),)
     assert standard_monomials((Polynomial.constant(F, 0, F.one()),), 0) == ()
-    with pytest.raises(NotArtinian) as zero:
+    with pytest.raises(NotArtinian, match=r"of x1 "):
         standard_monomials((), 2)
-    assert zero.value.witness_variable == 1
-    with pytest.raises(NotArtinian) as half:
+    with pytest.raises(NotArtinian, match=r"of x2 "):
         standard_monomials(groebner_basis(Ideal.make(F, 2, [_poly(F, 2, "x1^2")])), 2)
-    assert half.value.witness_variable == 2
     # a lead in x3 is refused, not read as the unit ideal in two variables
     three = groebner_basis(Ideal.make(F, 3, [_poly(F, 3, "x1^2"), _poly(F, 3, "x2^2"), _poly(F, 3, "x3")]))
     with pytest.raises(BadParams):
@@ -294,9 +291,8 @@ def test_standard_monomials_edge_cases():
 def test_minimal_generators():
     # the minimal generators of x1^2, x1^2 x2, x1 x2, x1^2 x2^2 are x1^2 and
     # x1 x2; with x2^2 added the monomials below them are 1, x1 and x2
-    with pytest.raises(NotArtinian) as no_x2:
+    with pytest.raises(NotArtinian, match=r"of x2 "):
         staircase(map(Monomial, [(2, 0), (2, 1), (1, 1), (2, 2)]), 2)
-    assert no_x2.value.witness_variable == 2
     assert staircase(map(Monomial, [(2, 0), (2, 1), (1, 1), (2, 2), (0, 2), (1, 1)]), 2) == (
         frozenset({X2, XY, Y2}), frozenset({Monomial.one(), X, Y}))
 
@@ -334,7 +330,7 @@ def test_groebner_matches_independent_library():
         if not gens:
             continue
         trials += 1
-        order = rng.choice(("grlex", "lex", "grevlex"))
+        order = rng.choice(("grlex", "lex"))
         ours = groebner_basis(Ideal.make(F, nvars, gens), order)
         xs = sympy.symbols(f"x1:{nvars + 1}")
         theirs = sympy.groebner(
