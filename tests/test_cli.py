@@ -12,7 +12,7 @@ import pytest
 
 import matroidlab
 from matroidlab.cli import main
-from matroidlab.matroids import uniform
+from matroidlab.matroids import Matroid, uniform
 
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -175,7 +175,8 @@ def test_gen_list(capsys):
 
 # sha256 of stdout; the matrices these print depend on every row operation
 # of the pivot steps, standard forms and RREFs behind them
-# (gen arguments of the input, or None; argv; exit code; sha256 of stdout)
+# (gen arguments of the input, a Matroid written as the input, or None;
+# argv; exit code; sha256 of stdout)
 PINNED_OUTPUT = (
     (None, ["gen", "theta", "3,4"], 0, "4b0c6a8d5622aa51eabb94202deb5341f82a92781eb311ef2df0907c0d6c8b31"),
     (None, ["gen", "phi", "2,3,2"], 0, "ff1aa9f09a77686f106fc65c5dafc78b1fefdfd046560f36f0e578f0511bfec4"),
@@ -207,6 +208,19 @@ PINNED_OUTPUT = (
      "6a8105aadd8edfb17a9d978a4df8c90c89e3fe46c30206eed23ffd1561e4e8e2"),
     (["phi", "2,3,2"], ["nbc", "check", "--field", "gf3"], 0,
      "613aa3e5ac164c74d3843db1a690bbba2e9a4dfed4ec4f2d52ed783569b26cd5"),
+    # the forms, substitutions and fundamental cocircuits read off one basis:
+    # gf2 rows from the oracle, criterion 1's forms, criterion 7's cocircuit
+    # transfer laws, and the gf2 facet walk of U(2,4) stopping at {e1,e2}
+    (["phi", "2,3,2"], ["lsop", "--field", "gf2"], 0,
+     "356920bf177d589400a290ce41af90380e39f9e4646b5eb7337d0455544c1c0c"),
+    (["named", "r10"], ["lsop", "--field", "gf2"], 0,
+     "875b4a24b5c2b400e191dcc2b7f20f8559aff6f469d24da961b471e8b8511811"),
+    (None, ["verify", "paper", "--criterion", "1"], 0,
+     "35683df9e14c1e850d2a4b5bf0bb799a9c7d4ec95b2fac1e4ba62275f5f2b162"),
+    (None, ["verify", "paper", "--criterion", "7"], 0,
+     "4668fb5ed713c45e549de07872843568756e2936725e6491432aaf8b84c7cc87"),
+    (uniform(2, 4), ["lsop", "--field", "gf2"], 0,
+     "f4563df68e16a0f494bad74ffcec865e1353b46e6fc914e720d0e335c4fa70a7"),
 )
 
 
@@ -259,7 +273,9 @@ def test_byte_stable_output(tmp_path, capsys):
 
 def test_pinned_output(tmp_path, capsys):
     for source, argv, expected, digest in PINNED_OUTPUT:
-        if source is not None:
+        if isinstance(source, Matroid):
+            argv = argv + ["--input", write_matroid(tmp_path, source)]
+        elif source is not None:
             code, gen, _ = run(["gen", *source], capsys)
             assert code == 0, source
             path = tmp_path / "_".join(source)
