@@ -9,14 +9,14 @@ including parallel search over all standard orderings.
 """
 
 from .complexes import (
-    HVector, Ordering, bc_faces, bc_facets, broken_circuits, f_h_vectors,
-    h_recursion_check,
+    HVector, Ordering, StandardOrdering, bc_faces, bc_facets, broken_circuits,
+    f_h_vectors, h_recursion_check, standard_ordering,
 )
 from .engine import (
-    DecompositionReport, NbcReport, SearchReport, StandardOrdering, ThetaSystem,
+    DecompositionReport, NbcReport, SearchReport, ThetaSystem,
     candidate_monomials, count_standard_orderings, decomposition_check,
     dj_values, lsop, nbc_check, order_ideals,
-    search_orderings, standard_ordering, standard_ordering_at,
+    search_orderings, standard_ordering_at,
 )
 from .errors import MatroidlabError
 from .families import (
@@ -41,13 +41,12 @@ from .verify import CriterionResult, run_all, run_criterion
 __version__ = "0.1.0"
 
 __all__ = [
-    "HVector", "Ordering", "bc_faces", "bc_facets", "broken_circuits",
-    "f_h_vectors", "h_recursion_check",
-    "DecompositionReport", "NbcReport", "SearchReport", "StandardOrdering",
+    "HVector", "Ordering", "StandardOrdering", "bc_faces", "bc_facets",
+    "broken_circuits", "f_h_vectors", "h_recursion_check", "standard_ordering",
+    "DecompositionReport", "NbcReport", "SearchReport",
     "ThetaSystem", "candidate_monomials", "count_standard_orderings",
     "decomposition_check", "dj_values", "lsop",
-    "nbc_check", "order_ideals", "search_orderings", "standard_ordering",
-    "standard_ordering_at", "MatroidlabError", "describe_named", "list_named",
+    "nbc_check", "order_ideals", "search_orderings", "standard_ordering_at", "MatroidlabError", "describe_named", "list_named",
     "named_matroid", "phi_matroid", "theta_matroid", "GF2_FIELD", "Q_FIELD",
     "Field", "field_from_name", "FundamentalMatrices", "RankReport",
     "basis_is_nonsingular", "check_rank_identities", "full_circuit_matrix",

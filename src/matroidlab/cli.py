@@ -28,7 +28,7 @@ import json
 import sys
 import time
 
-from .complexes import Ordering, bc_facets, f_h_vectors
+from .complexes import Ordering, bc_facets, f_h_vectors, standard_ordering
 from .engine import (
     candidate_monomials,
     count_standard_orderings,
@@ -37,7 +37,6 @@ from .engine import (
     nbc_check,
     order_ideals,
     search_orderings,
-    standard_ordering,
 )
 from .errors import BadParams, MatroidlabError
 from .families import (
@@ -397,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the search criteria",
+        help="worker processes for the R10 sample and exhaustive scan"
+        " (default: MATROIDLAB_WORKERS or 1)",
     )
     p.add_argument("--timing", action="store_true", help="include elapsed seconds")
     p.set_defaults(func=_cmd_verify)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .errors import BadParams, DegenerateElement
+from .errors import BadParams, DegenerateElement, NotStandardOrdering
 from .matroids import Matroid
 
 
@@ -74,6 +74,45 @@ def _as_ordering(matroid: Matroid, ordering) -> Ordering:
     o = ordering if isinstance(ordering, Ordering) else Ordering(tuple(ordering))
     o.validate_for(matroid)
     return o
+
+
+class StandardOrdering:
+    """An ordering whose last `rank` labels form a basis."""
+
+    __slots__ = ("ordering", "rank")
+
+    def __init__(self, ordering: Ordering, rank: int):
+        self.ordering = ordering
+        self.rank = rank
+
+    @property
+    def labels(self) -> tuple:
+        return self.ordering.labels
+
+    @property
+    def cobasis(self) -> tuple:
+        return self.labels[: len(self.labels) - self.rank]
+
+    @property
+    def basis(self) -> tuple:
+        return self.labels[len(self.labels) - self.rank:]
+
+    def __repr__(self):
+        return f"StandardOrdering({self.ordering.show()}; rank {self.rank})"
+
+    def show(self) -> str:
+        return self.ordering.show()
+
+
+def standard_ordering(matroid: Matroid, labels) -> StandardOrdering:
+    """The ordering of `labels`, checked to permute the ground set and to
+    end in a basis (NotStandardOrdering otherwise)."""
+    o = _as_ordering(matroid, labels)
+    r = matroid.rank()
+    basis = o.labels[len(o.labels) - r:]
+    if r and not matroid.is_independent(frozenset(basis)):
+        raise NotStandardOrdering(f"last {r} elements {basis} are not a basis")
+    return StandardOrdering(o, r)
 
 
 def broken_circuits(matroid: Matroid, ordering) -> tuple:

@@ -4,7 +4,9 @@ A standard ordering is a permutation of the ground set whose last rank(M)
 elements form a basis.  For each one the engine builds the distinguished
 linear forms (one per basis element, read off the signed fundamental
 cocircuit rows), eliminates the basis variables, and compares the candidate
-lower order ideal against the quotient by exact linear algebra.
+lower order ideal against the quotient by exact linear algebra.  Each row
+is stored once, as the substitution that eliminates its basis variable;
+the forms are derived from it (ThetaSystem.forms).
 
 The decision logic never assumes the construction succeeds.  The verdict
 for an ordering is reached in three sound stages: per-degree cardinality
@@ -26,11 +28,13 @@ from contextlib import closing
 from math import factorial
 from typing import NamedTuple
 
-from .complexes import HVector, Ordering, bc_facets, f_h_vectors, h_recursion_check
-from .errors import BadParams, NoCocircuitPair, NotStandardOrdering
+from .complexes import (
+    HVector, Ordering, StandardOrdering, bc_facets, f_h_vectors, h_recursion_check,
+    standard_ordering,
+)
+from .errors import BadParams, NoCocircuitPair
 from .fields import Field, GF2_FIELD, field_from_name
-from .incidence import basis_is_nonsingular, fundamental_rows
-from .linalg import Matrix
+from .incidence import basis_is_nonsingular, fundamental_matrices, fundamental_rows
 from .matroids import Matroid, matroid_from_json
 from .polynomials import (
     METHODS, Ideal, Monomial, Polynomial, groebner_basis,
@@ -41,44 +45,6 @@ DEFAULT_CHECKPOINT_EVERY = 5000
 BASIS_INDEX_CAP = 100
 # orderings per task handed to a pool worker
 CHUNK_SIZE = 500
-
-
-class StandardOrdering:
-    """An ordering whose last `rank` labels form a basis."""
-
-    __slots__ = ("ordering", "rank")
-
-    def __init__(self, ordering: Ordering, rank: int):
-        self.ordering = ordering
-        self.rank = rank
-
-    @property
-    def labels(self) -> tuple:
-        return self.ordering.labels
-
-    @property
-    def cobasis(self) -> tuple:
-        return self.labels[: len(self.labels) - self.rank]
-
-    @property
-    def basis(self) -> tuple:
-        return self.labels[len(self.labels) - self.rank:]
-
-    def __repr__(self):
-        return f"StandardOrdering({self.ordering.show()}; rank {self.rank})"
-
-    def show(self) -> str:
-        return self.ordering.show()
-
-
-def standard_ordering(matroid: Matroid, labels) -> StandardOrdering:
-    o = labels if isinstance(labels, Ordering) else Ordering(tuple(labels))
-    o.validate_for(matroid)
-    r = matroid.rank()
-    basis = o.labels[len(o.labels) - r:]
-    if r and not matroid.is_independent(frozenset(basis)):
-        raise NotStandardOrdering(f"last {r} elements {basis} are not a basis")
-    return StandardOrdering(o, r)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -132,19 +98,31 @@ def standard_ordering_at(matroid: Matroid, k: int) -> StandardOrdering:
 class ThetaSystem(NamedTuple):
     """The distinguished linear forms for one standard ordering and field.
 
-    forms live in all n position-variables; substitution maps each basis
-    position to its elimination image in the cobasis variables; ideal is
-    the eliminated ideal with one generator per circuit (zero generators
-    dropped); generators keeps every (circuit, polynomial) pair.
+    Each signed fundamental cocircuit row is stored once, as substitution:
+    basis position j maps to its elimination image in the t cobasis
+    variables, minus the cobasis part of row j.  forms is derived from it.
+    ideal is the eliminated ideal with one generator per circuit (zero
+    generators dropped); generators keeps every (circuit, polynomial) pair.
     """
 
-    cocircuit_matrix: Matrix
-    forms: tuple
     substitution: dict
     generators: tuple
     ideal: Ideal
     valid: bool | None
     invalid_facet: frozenset | None
+
+    @property
+    def forms(self) -> tuple:
+        """form_j = x_j - substitution[j] in all n position-variables, for
+        basis positions j ascending: row j of the cocircuit matrix, whose
+        basis block is the identity."""
+        F, t = self.ideal.field, self.ideal.nvars
+        n = t + len(self.substitution)
+        return tuple(
+            Polynomial(F, n, [(m, F.neg(c)) for m, c in self.substitution[j].terms.items()]
+                       + [(Monomial.variable(j), F.one())])
+            for j in range(t + 1, n + 1)
+        )
 
 
 def lsop(
@@ -158,36 +136,24 @@ def lsop(
     a quotient by rank-many linear forms decides finite-dimensionality
     (Kind-Kleinschmidt 1979).
 
-    Only GF(2) walks the facets.  Elsewhere the rows are a standard form of
-    representation_over(field) (the source matrix, a signed incidence or
-    uniform matrix, or a certified TU signing), whose column matroid is M,
-    and each facet is a basis (no circuit, size rank), so none is singular.
-    Over GF(2) the rows are the oracle's and represent M only if M is binary.
+    Only GF(2) walks the facets, on the dense cocircuit matrix of
+    fundamental_matrices, built only when there is a facet to walk.
+    Elsewhere the rows are a standard form of representation_over(field)
+    (the source matrix, a signed incidence or uniform matrix, or a
+    certified TU signing), whose column matroid is M, and each facet is a
+    basis (no circuit, size rank), so none is singular.  Over GF(2) the
+    rows are the oracle's and represent M only if M is binary.
     """
-    n = len(std.labels)
-    r = std.rank
-    t = n - r
+    t = len(std.cobasis)
     F = field
-    z = F.zero()
     rows = fundamental_rows(matroid, std.basis, F)
     position = std.ordering.position
-    coc_rows = []
-    forms = []
     substitution = {}
     for b in std.basis:
-        j = position(b)
-        sparse = rows[b]
-        row = [z] * n
-        for e, c in sparse.items():
-            row[position(e) - 1] = c
-        coc_rows.append(row)
-        forms.append(
-            Polynomial(F, n, {Monomial.variable(i + 1): c for i, c in enumerate(row) if c != z})
-        )
-        substitution[j] = Polynomial(
-            F, t, {Monomial.variable(i + 1): F.neg(row[i]) for i in range(t) if row[i] != z}
-        )
-    cm = Matrix(F, coc_rows, col_labels=std.labels)
+        row = rows[b]
+        substitution[position(b)] = Polynomial(F, t, {
+            Monomial.variable(i): F.neg(row[e]) for i, e in enumerate(std.cobasis, 1) if e in row
+        })
     gens = []
     for C in matroid.circuits():
         least = min(position(e) for e in C)
@@ -202,9 +168,11 @@ def lsop(
     valid = bad = None
     if validate:
         facets = bc_facets(matroid, std.ordering) if F.char == 2 else ()
-        bad = next((f for f in facets if not basis_is_nonsingular(matroid, cm, f)), None)
+        if facets:
+            cm = fundamental_matrices(matroid, std.ordering, F).cocircuit_matrix
+            bad = next((f for f in facets if not basis_is_nonsingular(matroid, cm, f)), None)
         valid = bad is None
-    return ThetaSystem(cm, tuple(forms), substitution, tuple(gens), ideal, valid, bad)
+    return ThetaSystem(substitution, tuple(gens), ideal, valid, bad)
 
 
 # -- candidate monomials -------------------------------------------------------

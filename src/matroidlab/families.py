@@ -11,7 +11,7 @@ inputs always produce identical matroids and orderings.
 
 from __future__ import annotations
 
-from .engine import standard_ordering
+from .complexes import standard_ordering
 from .errors import BadParams, UnknownName
 from .fields import GF2_FIELD, Q_FIELD
 from .linalg import Matrix

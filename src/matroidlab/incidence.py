@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import BadParams, NotRegular, NotStandardOrdering
+from .complexes import Ordering, standard_ordering
+from .errors import BadParams, NotRegular
 from .fields import Field
 from .linalg import Matrix
 from .matroids import Matroid
@@ -50,17 +51,6 @@ class FundamentalMatrices(NamedTuple):
     cobasis: tuple
     circuit_matrix: Matrix
     cocircuit_matrix: Matrix
-
-
-def _split_ordering(matroid: Matroid, ordering) -> tuple:
-    labels = tuple(ordering)
-    if sorted(labels) != sorted(matroid.ground):
-        raise BadParams("ordering is not a permutation of the ground set")
-    r = matroid.rank()
-    cobasis, basis = labels[: len(labels) - r], labels[len(labels) - r:]
-    if not matroid.is_independent(frozenset(basis)) or len(basis) != r:
-        raise NotStandardOrdering(f"last {r} elements {basis} are not a basis")
-    return labels, cobasis, basis
 
 
 def fundamental_rows(matroid: Matroid, basis, field: Field) -> dict:
@@ -140,7 +130,8 @@ def fundamental_matrices(matroid: Matroid, ordering, field: Field) -> Fundamenta
     representation, their supports are checked against the independence
     oracle.
     """
-    labels, cobasis, basis = _split_ordering(matroid, ordering)
+    std = standard_ordering(matroid, ordering)
+    labels, cobasis, basis = std.labels, std.cobasis, std.basis
     F = field
     z = F.zero()
     rows = fundamental_rows(matroid, basis, F)
@@ -154,7 +145,7 @@ def fundamental_matrices(matroid: Matroid, ordering, field: Field) -> Fundamenta
             _check_support(F, labels, row, matroid.fundamental_circuit(bset, e))
         for b, row in zip(basis, coc_rows):
             _check_support(F, labels, row, matroid.fundamental_cocircuit(bset, b))
-    return FundamentalMatrices(labels, tuple(basis), tuple(cobasis), cm, dm)
+    return FundamentalMatrices(labels, basis, cobasis, cm, dm)
 
 
 def _full_matrix(matroid: Matroid, field: Field, ordering, elementary, row_of) -> Matrix:
@@ -169,8 +160,7 @@ def _full_matrix(matroid: Matroid, field: Field, ordering, elementary, row_of) -
     exactly where a per-(co)circuit null-space solve would raise it.
     """
     labels = tuple(ordering)
-    if sorted(labels) != sorted(matroid.ground):
-        raise BadParams("ordering is not a permutation of the ground set")
+    Ordering(labels).validate_for(matroid)
     sets = elementary()
     if field.char != 2:
         matroid.representation_over(field)

@@ -172,14 +172,17 @@ class Matroid:
 
     # -- oracle ------------------------------------------------------------
 
+    def _check_labels(self, s) -> None:
+        pos = self.position
+        if not all(e in pos for e in s):
+            raise BadParams(f"{sorted(e for e in s if e not in pos)} not in ground set")
+
     def is_independent(self, subset) -> bool:
         s = frozenset(subset)
         hit = self._indep_memo.get(s)
         if hit is None:
             # the memo holds only subsets of the ground set, so a hit needs no check
-            pos = self.position
-            if not all(e in pos for e in s):
-                raise BadParams(f"{sorted(e for e in s if e not in pos)} not in ground set")
+            self._check_labels(s)
             hit = self._indep_memo[s] = self.backend.indep(s)
         return hit
 
@@ -189,6 +192,7 @@ class Matroid:
             elems = self.ground
         else:
             keep = set(subset)
+            self._check_labels(keep)
             elems = [e for e in self.ground if e in keep]
         if subset is None and "rank" in self._cache:
             return self._cache["rank"]
@@ -208,7 +212,8 @@ class Matroid:
 
     def is_coindependent(self, subset) -> bool:
         s = set(subset)
-        return self.rank([e for e in self.ground if e not in s]) == self.rank()
+        self._check_labels(s)
+        return len(self._greedy_basis([e for e in self.ground if e not in s])) == self.rank()
 
     # -- enumeration ---------------------------------------------------------
 
@@ -325,17 +330,16 @@ class Matroid:
         return frozenset(s)
 
     def fundamental_cocircuit(self, basis, b_elem: str) -> frozenset:
-        """The unique cocircuit inside (E - basis) + {b_elem} through b_elem."""
+        """The unique cocircuit inside (E - basis) + {b_elem} through b_elem:
+        b_elem and each e outside the basis whose fundamental circuit holds
+        it, by the exchange identity  b in C(B, e)  <=>  e in C*(B, b)
+        (Oxley, Matroid Theory, 2011)."""
         b = self._check_basis(basis)
         if b_elem not in b:
             raise NotBasisElement(f"{b_elem} does not lie in the basis")
-        outside = [e for e in self.ground if e not in b]
-        s = set(outside) | {b_elem}
-        for x in sorted(outside, key=self.position.get):
-            t = s - {x}
-            if not self.is_coindependent(t):
-                s = t
-        return frozenset(s)
+        return frozenset([b_elem]).union(
+            e for e in self.ground if e not in b and b_elem in self.fundamental_circuit(b, e)
+        )
 
     # -- minors --------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import time
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import Ordering, f_h_vectors, h_recursion_check
+from .complexes import Ordering, f_h_vectors, h_recursion_check, standard_ordering
 from .engine import (
     count_standard_orderings,
     decomposition_check,
@@ -22,7 +22,6 @@ from .engine import (
     nbc_check,
     order_ideals,
     search_orderings,
-    standard_ordering,
 )
 from .errors import (
     BadParams,
@@ -226,9 +225,7 @@ def _r10_search(exhaustive: bool = False, workers: int | None = None) -> tuple:
         f" 0 basis verdicts (tallies {dict(sorted(rep.tallies.items()))})"
     )
     if exhaustive:
-        ex = search_orderings(
-            m, GF2_FIELD, policy="exhaustive", workers=max(4, workers or 0)
-        )
+        ex = search_orderings(m, GF2_FIELD, policy="exhaustive", workers=workers)
         ex_hits = ex.tallies.get("basis", 0)
         if ex.checked != total or ex_hits != 0:
             problems.append(f"exhaustive: checked {ex.checked}, hits {ex_hits}")

@@ -8,7 +8,11 @@ CPU-minutes).
 """
 
 import os
+from types import SimpleNamespace
 
+import pytest
+
+from matroidlab import verify
 from matroidlab.verify import run_criterion
 
 
@@ -34,6 +38,20 @@ def test_criterion_3_dual_k33(capsys):
 def test_criterion_4_r10_search(capsys):
     exhaustive = os.environ.get("MATROIDLAB_R10_EXHAUSTIVE", "") not in ("", "0")
     _check(capsys, 4, r10_exhaustive=exhaustive)
+
+
+@pytest.mark.parametrize("workers", (1, None))
+def test_exhaustive_r10_scan_takes_the_worker_count_as_given(monkeypatch, workers):
+    # None leaves the count to search_orderings: MATROIDLAB_WORKERS, else 1
+    calls = []
+
+    def record(m, field, policy, workers):
+        calls.append((policy, workers))
+        return SimpleNamespace(checked=0, tallies={})
+
+    monkeypatch.setattr(verify, "search_orderings", record)
+    verify._r10_search(exhaustive=True, workers=workers)
+    assert calls[-1] == ("exhaustive", workers)
 
 
 def test_criterion_5_glued_families(capsys):

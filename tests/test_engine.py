@@ -29,7 +29,7 @@ from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
 from matroidlab.incidence import basis_is_nonsingular, fundamental_matrices
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, uniform
-from matroidlab.polynomials import Monomial, order_key
+from matroidlab.polynomials import Monomial, Polynomial, order_key
 from test_complexes import random_binary, random_graphic
 
 
@@ -61,13 +61,30 @@ def test_u23_pipeline_over_q():
     assert rep.h.entries == (1, 1, 0)
 
 
-def test_engine_matrix_matches_incidence():
-    m = uniform(2, 3)
-    std = standard_ordering(m, ("e1", "e2", "e3"))
-    for field in (Q_FIELD, GF2_FIELD):
-        fm = fundamental_matrices(m, std.labels, field)
-        th = lsop(m, std, field)
-        assert fm.cocircuit_matrix.entries == th.cocircuit_matrix.entries
+@pytest.mark.parametrize("name", ("gf2", "gf3", "q"))
+def test_substitution_negates_the_cobasis_of_each_cocircuit_row(name):
+    # lsop stores each fundamental cocircuit row once, as the substitution of
+    # its basis variable; the dense matrix of fundamental_matrices is the
+    # other reading of the same rows, and forms is row j as a linear form
+    field = field_from_name(name)
+    z = field.zero()
+    instances = [uniform(2, 3), uniform(3, 3)] + [named_matroid(n) for n in ("k4", "dualk33")]
+    instances += [theta_matroid((2, 3))[0], phi_matroid((2, 2, 2))[0]]
+    for m in instances:
+        for std in _seeded_orderings(m, 3):
+            th = lsop(m, std, field, validate=False)
+            rows = fundamental_matrices(m, std.labels, field).cocircuit_matrix.entries
+            t, n = len(std.cobasis), len(std.labels)
+            assert sorted(th.substitution) == list(range(t + 1, n + 1))
+            for j, row in zip(range(t + 1, n + 1), rows):
+                want = Polynomial(field, t, {
+                    Monomial.variable(i): field.neg(row[i - 1]) for i in range(1, t + 1)
+                })
+                assert th.substitution[j] == want, (std, j)
+                form = Polynomial(field, n, {
+                    Monomial.variable(i): c for i, c in enumerate(row, 1) if c != z
+                })
+                assert th.forms[j - t - 1] == form, (std, j)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -418,7 +435,7 @@ def test_macaulay_and_groebner_agree_on_matroid_quotients(m, field):
 def test_lsop_valid_without_facet_walk_agrees_with_it(name):
     # over a field of characteristic other than 2 lsop does not walk the
     # facets: its rows represent M, so every facet, a basis, is nonsingular;
-    # this walks them against the rows lsop returns
+    # this walks them against the dense matrix of the same rows
     field = field_from_name(name)
     instances = [named_matroid(n) for n in ("r10", "dualk33", "dualk33raw", "k33", "k4")]
     instances += [build(sizes)[0] for build in (theta_matroid, phi_matroid)
@@ -427,8 +444,9 @@ def test_lsop_valid_without_facet_walk_agrees_with_it(name):
         for std in _seeded_orderings(m, 3):
             th = lsop(m, std, field)
             assert th.valid is True and th.invalid_facet is None, std
+            cm = fundamental_matrices(m, std.labels, field).cocircuit_matrix
             for facet in bc_facets(m, std.ordering):
-                assert basis_is_nonsingular(m, th.cocircuit_matrix, facet), (std, facet)
+                assert basis_is_nonsingular(m, cm, facet), (std, facet)
 
 
 def _automorphisms_by_brute_force(m):

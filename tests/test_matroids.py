@@ -69,6 +69,15 @@ def test_rank_and_corank_of_subsets():
     assert not m.is_coindependent({"e1", "e2"})
 
 
+def test_labels_outside_the_ground_set_are_refused():
+    m = named_matroid("k4")
+    for query in (m.rank, m.is_coindependent, m.is_independent):
+        for subset in (["zz"], [m.ground[0], "zz"]):
+            with pytest.raises(BadParams, match=r"\['zz'\] not in ground set"):
+                query(subset)
+    assert m.rank([]) == 0 and m.is_coindependent([])
+
+
 def test_from_circuits_matches_graphic():
     g = from_graph(TRIANGLE)
     c = from_circuits([{"e1", "e2", "e3"}], ("e1", "e2", "e3"))
@@ -87,6 +96,39 @@ def test_fundamental_circuit_and_cocircuit():
         m.fundamental_cocircuit(b, "e1")
     with pytest.raises(BadRank):
         m.fundamental_circuit({"e1"}, "e2")
+
+
+def _cocircuit_by_coindependence(m, basis, b):
+    """C*(B, b) from the dual side: starting from (E - B) + b, drop each
+    element of E - B, in ground order, whose removal leaves a codependent set."""
+    outside = [e for e in m.ground if e not in basis]
+    s = set(outside) | {b}
+    for x in outside:
+        if not m.is_coindependent(s - {x}):
+            s -= {x}
+    return frozenset(s)
+
+
+def test_fundamental_cocircuit_matches_the_coindependence_scan():
+    # fundamental_cocircuit reads C*(B, b) off fundamental circuits; the scan
+    # asks the coindependence oracle instead and shares no step with it
+    glued = parallel_connection(
+        from_graph(TRIANGLE, labels=("l1", "l2", "p")),
+        from_graph(TRIANGLE, labels=("p", "r1", "r2")),
+        "p",
+    )
+    # e1 is a loop, e5 a coloop, e2 e3 e4 a triangle
+    rows = [[0, 1, 0, 1, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]]
+    loop_coloop = from_matrix(Matrix.from_int_rows(Q_FIELD, rows))
+    fixtures = [named_matroid(n) for n in ("k4", "k33", "dualk33", "dualk33raw", "r10")]
+    fixtures += [uniform(2, 4), uniform(3, 5), glued, loop_coloop]
+    pairs = 0
+    for m in fixtures:
+        for basis in m.bases():
+            for b in sorted(basis, key=m.position.get):
+                assert m.fundamental_cocircuit(basis, b) == _cocircuit_by_coindependence(m, basis, b)
+                pairs += 1
+    assert pairs == 1986
 
 
 def test_delete_and_contract():
