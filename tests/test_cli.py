@@ -221,6 +221,12 @@ PINNED_OUTPUT = (
      "4668fb5ed713c45e549de07872843568756e2936725e6491432aaf8b84c7cc87"),
     (uniform(2, 4), ["lsop", "--field", "gf2"], 0,
      "f4563df68e16a0f494bad74ffcec865e1353b46e6fc914e720d0e335c4fa70a7"),
+    # the degree-by-degree staircase: R10's full L of 67 despite 22 > h_3 = 20,
+    # and a dualk33 ordering whose degree 3 falls short (4 < h_3 = 5)
+    (["named", "r10"], ["nbc", "check", "--field", "gf2"], 1,
+     "e26bb78371eee04102402627220a3b7e9587d3e1319fe5ef49284270561e4814"),
+    (["named", "dualk33"], ["nbc", "check", "--field", "q", "--ordering", "e3,e2,e7,e5,e9,e1,e4,e6,e8"], 1,
+     "81cc778728db0dbec746e30df356e3f8610d905235eb552774205e98881f4231"),
 )
 
 
