@@ -13,6 +13,7 @@ empty set, which every subset contains): all face counts are zero.
 from __future__ import annotations
 
 from math import comb
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import BadParams, DegenerateElement, NotStandardOrdering
@@ -35,6 +36,10 @@ class Ordering:
         if p is None:
             raise BadParams(f"label {label!r} not in ordering")
         return p
+
+    @property
+    def positions(self) -> MappingProxyType:  # label -> position, read-only
+        return MappingProxyType(self._pos)
 
     def validate_for(self, matroid: Matroid) -> None:
         if sorted(self.labels) != sorted(matroid.ground):

@@ -13,7 +13,9 @@ for an ordering is reached in three sound stages: per-degree cardinality
 of the candidate set against the h-vector, then the facet-rank criterion
 for the linear system (its failure means the quotient is infinite
 dimensional, so no finite set can be a basis), then exact independence of
-the candidate monomials in the quotient.
+the candidate monomials in the quotient.  The candidate set is walked one
+degree at a time (polynomials.staircase_levels), so a search stops at the
+first degree whose count misses h_d and builds no monomial for it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import hashlib
 import json
 import os
 import random
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
+from itertools import zip_longest
 from math import factorial
 from typing import NamedTuple
 
@@ -38,7 +40,7 @@ from .incidence import basis_is_nonsingular, fundamental_matrices, fundamental_r
 from .matroids import Matroid, matroid_from_json
 from .polynomials import (
     METHODS, Ideal, Monomial, Polynomial, groebner_basis,
-    monomials_independent_in_quotient, order_key, staircase,
+    monomials_independent_in_quotient, staircase, staircase_levels,
 )
 
 DEFAULT_CHECKPOINT_EVERY = 5000
@@ -182,44 +184,48 @@ def dj_values(matroid: Matroid, std: StandardOrdering) -> tuple:
     """d_1..d_n: position itself for cobasis positions, else the smallest
     position inside the fundamental cocircuit of that basis element."""
     rows = fundamental_rows(matroid, std.basis, GF2_FIELD)
-    position = std.ordering.position
+    pos = std.ordering.positions
     t = len(std.cobasis)
-    return tuple(range(1, t + 1)) + tuple(min(map(position, rows[b])) for b in std.basis)
+    return tuple(range(1, t + 1)) + tuple(min(map(pos.__getitem__, rows[b])) for b in std.basis)
 
 
-def candidate_monomials(matroid: Matroid, std: StandardOrdering) -> tuple:
-    """(circuit, monomial) per circuit: a pure power of the circuit's unique
-    cobasis variable when the circuit is fundamental, else the product of
-    the d-values over the circuit minus its smallest element."""
-    position = std.ordering.position
-    t = len(std.labels) - std.rank
+def _candidate_exponents(matroid: Matroid, std: StandardOrdering) -> list:
+    """The dense exponent tuple, in t = n - rank variables, of each
+    circuit's candidate monomial, in circuit order: a pure power of the
+    circuit's unique cobasis variable when the circuit is fundamental, else
+    the product of the d-values over the circuit minus its smallest element.
+    Each cobasis variable has a fundamental circuit, so its staircase is
+    finite."""
+    pos = std.ordering.positions
+    t = len(std.cobasis)
     d = dj_values(matroid, std)
     out = []
     for C in matroid.circuits():
-        cob = [position(e) for e in C if position(e) <= t]
+        ps = [pos[e] for e in C]
+        cob = [p for p in ps if p <= t]
+        exps = [0] * t
         if len(cob) == 1:
-            m = Monomial.variable(cob[0], len(C) - 1) if len(C) > 1 else Monomial.one()
+            exps[cob[0] - 1] = len(ps) - 1
         else:
-            least = min(cob)
-            exps = [0] * t
-            for e in C:
-                j = position(e)
-                if j != least:
-                    exps[d[j - 1] - 1] += 1
-            m = Monomial(exps)
-        out.append((frozenset(C), m))
-    return tuple(out)
+            for p in ps:
+                exps[d[p - 1] - 1] += 1
+            exps[min(cob) - 1] -= 1  # the smallest element is its own d-value
+        out.append(tuple(exps))
+    return out
+
+
+def candidate_monomials(matroid: Matroid, std: StandardOrdering) -> tuple:
+    """(circuit, monomial) per circuit, as _candidate_exponents builds them."""
+    exps = _candidate_exponents(matroid, std)
+    return tuple((frozenset(C), Monomial(e)) for C, e in zip(matroid.circuits(), exps))
 
 
 def order_ideals(matroid: Matroid, std: StandardOrdering) -> tuple:
     """(upper, lower): the minimal generators of the upper ideal generated
     by the candidate monomials, and its finite complement, the candidate
     basis, in t = n - rank variables, each a frozenset of monomials (see
-    polynomials.staircase).  Raises NotArtinian if some variable never
-    acquires a pure-power generator (impossible for the standard
-    construction, kept as a defensive guard)."""
-    t = len(std.labels) - std.rank
-    return staircase((m for _, m in candidate_monomials(matroid, std)), t)
+    polynomials.staircase)."""
+    return staircase((m for _, m in candidate_monomials(matroid, std)), len(std.cobasis))
 
 
 # -- the basis decision --------------------------------------------------------
@@ -272,21 +278,14 @@ def nbc_check(
     if method not in METHODS:
         raise BadParams(f"unknown method {method!r}")
     h = _h_vector(matroid, std)
-    _, lower = order_ideals(matroid, std)
-    # count first: a wrong_cardinality verdict needs no grlex order
-    by_deg = Counter(map(Monomial.degree, lower))
-    dmax = max(len(h.entries) - 1, max(by_deg, default=0))
-    mismatch = next(
-        (
-            d
-            for d in range(dmax + 1)
-            if by_deg.get(d, 0) != (h.entries[d] if d < len(h.entries) else 0)
-        ),
-        None,
-    )
+    levels = list(staircase_levels(_candidate_exponents(matroid, std), len(std.cobasis)))
+    pairs = list(zip_longest(map(len, levels), h.entries, fillvalue=0))
+    mismatch = next((d for d, (got, want) in enumerate(pairs) if got != want), None)
+    # a wrong_cardinality verdict needs no Monomials; grlex ascends by degree,
+    # then by dense tuple
     L = ()
     if mismatch is None or include_monomials:
-        L = sorted(lower, key=order_key("grlex", len(std.labels) - std.rank))
+        L = [Monomial(c) for level in levels for c in sorted(level)]
     shown = tuple(m.show() for m in L) if include_monomials else ()
 
     def report(quotient_dim, cardinality_ok, lsop_valid, independent, verdict, reason, witness):
@@ -294,7 +293,7 @@ def nbc_check(
             ordering=std.labels,
             field=field.name,
             h=h,
-            l_size=len(lower),
+            l_size=sum(map(len, levels)),
             quotient_dim=quotient_dim,
             cardinality_ok=cardinality_ok,
             lsop_valid=lsop_valid,
@@ -306,8 +305,7 @@ def nbc_check(
         )
 
     if mismatch is not None:
-        got = by_deg.get(mismatch, 0)
-        want = h.entries[mismatch] if mismatch < len(h.entries) else 0
+        got, want = pairs[mismatch]
         return report(
             None, False, None, None, "not_basis", "wrong_cardinality",
             f"degree {mismatch}: {got} candidate monomials, h_{mismatch} = {want}",
@@ -338,14 +336,7 @@ class DecompositionReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.l_split_ok
-            and self.delete_cocircuits_ok
-            and self.contract_cocircuits_ok
-            and self.type1_ok
-            and self.type2_ok
-            and self.h_additive_ok
-        )
+        return all(self[1:])
 
 
 def decomposition_check(matroid: Matroid, std: StandardOrdering) -> DecompositionReport:
@@ -386,11 +377,10 @@ def decomposition_check(matroid: Matroid, std: StandardOrdering) -> Decompositio
     B2 = frozenset(std_con.basis)
     delete_ok = m_del.fundamental_cocircuit(B1, e_f) == frozenset({e_f}) == (
         matroid.fundamental_cocircuit(B, e_last) - {e_last}
+    ) and all(
+        m_del.fundamental_cocircuit(B1, b) == matroid.fundamental_cocircuit(B, b) - {e_f}
+        for b in sorted(B1 - {e_f}, key=matroid.position.get)
     )
-    for b in sorted(B1 - {e_f}, key=matroid.position.get):
-        if m_del.fundamental_cocircuit(B1, b) != matroid.fundamental_cocircuit(B, b) - {e_f}:
-            delete_ok = False
-            break
     contract_ok = all(
         m_con.fundamental_cocircuit(B2, b) == matroid.fundamental_cocircuit(B, b)
         for b in sorted(B2, key=matroid.position.get)
@@ -462,7 +452,15 @@ def _policy_indices(policy: str, total: int):
 
 
 def _check_one(matroid: Matroid, k: int, field: Field) -> tuple:
+    """(k, verdict, reason) of nbc_check for ordering k, without calling it
+    when the candidate basis misses the h-vector.  That is nbc_check's first
+    stage, and a level's count is final once the walk has built it, so the
+    walk stops at the first level whose size is not h_d (a non-empty level
+    past the top of h, or an empty one below it, counts)."""
     std = standard_ordering_at(matroid, k)
+    sizes = map(len, staircase_levels(_candidate_exponents(matroid, std), len(std.cobasis)))
+    if any(a != b for a, b in zip_longest(sizes, _h_vector(matroid, std).entries, fillvalue=0)):
+        return (k, "not_basis", "wrong_cardinality")
     rep = nbc_check(matroid, std, field, method="macaulay", include_monomials=False)
     return (k, rep.verdict, rep.reason)
 
@@ -627,12 +625,8 @@ def search_orderings(
     basis_indices: list = []
     first_basis = None
     cursor = 0
-    state = (
-        _load_checkpoint(
-            checkpoint_path, matroid, digest, policy, field, shard_text, domain, tallies,
-        )
-        if checkpoint_path
-        else None
+    state = _load_checkpoint(
+        checkpoint_path, matroid, digest, policy, field, shard_text, domain, tallies,
     )
     if state is not None:
         cursor = state["cursor"]

@@ -2,10 +2,11 @@
 
 Variables are 1-based indices displayed as x1, x2, ...  A Monomial is
 its dense exponent tuple with trailing zeros stripped, the one format of
-candidates, staircases, Macaulay columns and Buchberger terms.  staircase
-is the one walk over the monomials outside a monomial ideal:
-engine.order_ideals feeds it the candidate monomials, standard_monomials
-the leading terms.  Two decision paths are kept deliberately separate;
+candidates, staircases, Macaulay columns and Buchberger terms.
+staircase_levels is the one walk over the monomials outside a monomial
+ideal, degree by degree over unstripped tuples; staircase wraps it for the
+candidate monomials (engine.order_ideals) and the leading terms
+(standard_monomials).  Two decision paths are kept deliberately separate;
 agreement between them is a tested invariant, never an assumption:
 
 - Macaulay: dense linear algebra one degree at a time.  A _MacaulaySlice
@@ -414,22 +415,11 @@ def staircase(gens, nvars: int) -> tuple:
     monomials outside it, each a frozenset of Monomials.  Raises BadParams
     for a generator in a variable past the first nvars, and NotArtinian,
     naming the first variable with no pure power among the generators, when
-    infinitely many monomials lie outside.
+    infinitely many monomials lie outside.  The members are the levels of
+    staircase_levels.
 
     The generators are minimised in order of degree: a proper divisor has a
-    smaller degree, so it is kept before the monomials it divides.  The walk
-    sets x1, x2, ..., xn in turn and skips work in two ways, neither of
-    which loses a member:
-    - a generator g is tested only when its last variable v (the largest
-      with a positive exponent, len(g.exps)) is set.  Whether g divides a
-      monomial depends only on its exponents of x1..xv, which are all fixed
-      at that point and never change below it, so one test at v decides g
-      for every completion of the prefix;
-    - with x1..x(v-1) fixed, a generator indexed at v divides the prefix
-      times xv^a exactly when its other exponents divide the prefix and a
-      reaches its exponent of xv.  So the divisible a form an up-set, and
-      the loop at v ends at the first of them.  The pure power of xv is
-      indexed at v, so the loop never runs past it.
+    smaller degree, so it is kept before the monomials it divides.
     """
     mins: list = []
     for g in sorted(set(gens), key=Monomial.degree):
@@ -437,32 +427,48 @@ def staircase(gens, nvars: int) -> tuple:
             raise BadParams(f"monomial {g.show()} uses a variable beyond x{nvars}")
         if not any(m.divides(g) for m in mins):
             mins.append(g)
-    upper = frozenset(mins)
     if mins and not mins[0].exps:  # the unit ideal: nothing lies outside it
-        return upper, frozenset()
-    # at[v]: (exponent of xv, exponents of x1..x(v-1)) per generator ending at xv
-    at: list = [[] for _ in range(nvars + 1)]
-    for g in mins:
-        at[len(g.exps)].append((g.exps[-1], g.exps[:-1]))
+        return frozenset(mins), frozenset()
+    powers = {len(g.exps) for g in mins if g.exps.count(0) == len(g.exps) - 1}
     for v in range(1, nvars + 1):
-        if all(any(rest) for _, rest in at[v]):
+        if v not in powers:
             raise NotArtinian(f"no pure power of x{v} among the generators")
-    out = []
+    zeros = (0,) * nvars
+    levels = staircase_levels([g.exps + zeros[len(g.exps):] for g in mins], nvars)
+    return frozenset(mins), frozenset(Monomial(c) for level in levels for c in level)
 
-    def rec(prefix: tuple):
-        v = len(prefix) + 1
-        stop = min(a for a, rest in at[v] if all(map(le, rest, prefix)))
-        if v == nvars:
-            out.extend(Monomial(prefix + (a,)) for a in range(stop))
-        else:
-            for a in range(stop):
-                rec(prefix + (a,))
 
-    if nvars:
-        rec(())
-    else:
-        out.append(Monomial.one())
-    return upper, frozenset(out)
+def staircase_levels(gens, nvars: int):
+    """Yield level 0, 1, 2, ... of the monomial ideal generated by `gens`,
+    dense exponent tuples of length nvars: level d holds the degree-d tuples
+    outside the ideal.  The walk ends at the first empty level, since every
+    divisor of a tuple outside lies outside; it never ends when the ideal is
+    not Artinian, so a caller either checks that or stops early.
+
+    A degree-d tuple c lies in level d exactly when c is not a generator and
+    every c/xj (xj dividing c) lies in level d-1.  If c is outside, so are
+    its divisors.  If c is inside but is not a generator, some generator g
+    properly divides c, and then g divides c/xj for any xj dividing c/g.
+    So no generator needs minimising.  c is built once, from c/xj with xj
+    its last variable: each tuple extends only at or after its own last
+    variable, which each level stores beside it.
+    """
+    gens = set(gens)
+    zero = (0,) * nvars
+    level = {} if zero in gens else {zero: 0}
+    while level:
+        yield level.keys()
+        below, level = level, {}
+        for m, last in below.items():
+            for j in range(last, nvars):
+                c = m[:j] + (m[j] + 1,) + m[j + 1:]
+                if c in gens:
+                    continue
+                for i in range(j):
+                    if c[i] and c[:i] + (c[i] - 1,) + c[i + 1:] not in below:
+                        break
+                else:
+                    level[c] = j
 
 
 def standard_monomials(gb, nvars: int, order: str = "grlex") -> tuple:

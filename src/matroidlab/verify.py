@@ -67,6 +67,11 @@ class CriterionResult(NamedTuple):
         )
 
 
+def _outcome(problems: list, detail: str) -> tuple:
+    """(False, the problems, at most four) if there are any, else (True, detail)."""
+    return (False, "; ".join(problems[:4])) if problems else (True, detail)
+
+
 # -- fixture corpus ------------------------------------------------------------
 
 
@@ -134,12 +139,10 @@ def _free_uniform_tower() -> tuple:
             rep = nbc_check(m, std, field)
             if not rep.is_basis:
                 problems.append(f"U({n},{n})/{field.name}: {rep.verdict}")
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, (
+    return _outcome(problems, (
         "U(n,n) for n=1..8 over gf2 and q: the linear system is exactly the"
         " variables, the candidate set is {1}, verdict basis"
-    )
+    ))
 
 
 # -- criterion 2: single-circuit uniform tower ----------------------------------
@@ -163,12 +166,10 @@ def _circuit_uniform_tower() -> tuple:
                 problems.append(f"U({n - 1},{n})/{field.name}: candidate set")
             if not rep.is_basis:
                 problems.append(f"U({n - 1},{n})/{field.name}: {rep.verdict}")
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, (
+    return _outcome(problems, (
         "U(n-1,n) for n=3..8 over gf2 and q: h=(1,..,1,0), candidate set is"
         " the power ladder of x1, verdict basis"
-    )
+    ))
 
 
 # -- criterion 3: the 9-element, rank-4 binary fixture ---------------------------
@@ -195,12 +196,10 @@ def _dual_k33_fixture() -> tuple:
         problems.append(f"verdict {rep.verdict} ({rep.reason})")
     if rep.h.total != 20:
         problems.append(f"h total {rep.h.total}")
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
+    return _outcome(problems, (
         "DualK33 over gf2: candidate set equals the expected 20 monomials,"
         f" verdict basis, h={rep.h.show()} sums to 20"
-    )
+    ))
 
 
 # -- criterion 4: the 10-element, rank-5 regular fixture --------------------------
@@ -230,9 +229,7 @@ def _r10_search(exhaustive: bool = False, workers: int | None = None) -> tuple:
         if ex.checked != total or ex_hits != 0:
             problems.append(f"exhaustive: checked {ex.checked}, hits {ex_hits}")
         detail += f"; exhaustive run: {ex.checked} checked, {ex_hits} basis verdicts"
-    if problems:
-        return False, "; ".join(problems)
-    return True, detail
+    return _outcome(problems, detail)
 
 
 # -- criterion 5: glued uniform families ------------------------------------------
@@ -265,13 +262,11 @@ def _family_suite() -> tuple:
             rep = nbc_check(m, std, GF2_FIELD, include_monomials=False)
             if not rep.is_basis:
                 problems.append(f"{tag}{sizes}: {rep.verdict} ({rep.reason})")
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, (
+    return _outcome(problems, (
         f"all {len(comps)} compositions with parts >= 2, sum <= 12, at most 4"
         " parts: theta and phi orderings give verdict basis over gf2"
         f" ({2 * len(comps)} runs)"
-    )
+    ))
 
 
 # -- criterion 6: incidence rank identities and nonsingularity -----------------------
@@ -308,13 +303,11 @@ def _incidence_suite() -> tuple:
                         problems.append(f"{name}/{field.name}: disagreement at {sub}")
                         break
                 sweeps += 1
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, (
+    return _outcome(problems, (
         f"{len(fixtures)} fixtures, {sweeps} sampled-basis sweeps: all four"
         " rank identities hold and column nonsingularity matches the"
         " independence oracle on every rank-sized subset"
-    )
+    ))
 
 
 # -- criterion 7: deletion-contraction recursions -------------------------------------
@@ -354,13 +347,11 @@ def _recursion_suite() -> tuple:
             problems.append(f"{name}: split check fails ({dr})")
     if applied < 1:
         problems.append("no fixture admitted the two-element-cocircuit split")
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, (
+    return _outcome(problems, (
         f"h recursion holds for all {h_checked} non-degenerate fixture elements"
         f" ({h_skipped} degenerate skipped); candidate-set split verified on"
         f" {applied} fixtures ({skipped} lack the cocircuit pair)"
-    )
+    ))
 
 
 # -- criterion 8: independent-path agreement ------------------------------------------
@@ -455,13 +446,11 @@ def _oracle_suite() -> tuple:
             problems.append(f"random ideal {i}: paths disagree")
             continue
         kinds[kind] = kinds.get(kind, 0) + 1
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, (
+    return _outcome(problems, (
         f"cocircuit enumeration paths agree on {len(fixtures)} fixtures;"
         f" dense and reduction basis paths agree on {pairs} fixture quotients"
         f" and 100 random ideals (verdicts {dict(sorted(kinds.items()))})"
-    )
+    ))
 
 
 # -- criterion 9: ordering invariance of face counts -----------------------------------
@@ -479,12 +468,10 @@ def _order_invariance() -> tuple:
             if f_h_vectors(m, Ordering(labels)) != base:
                 problems.append(f"{name}: face counts moved under {labels}")
                 break
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, (
+    return _outcome(problems, (
         f"f and h vectors identical under 5 seeded reorderings for each of"
         f" {len(fixtures)} fixtures"
-    )
+    ))
 
 
 # -- driver ---------------------------------------------------------------------------

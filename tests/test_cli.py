@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -427,6 +428,23 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "r10" in json.loads(proc.stdout)
+
+
+def test_a_plain_import_leaves_the_criteria_unloaded():
+    # the acceptance criteria load on first use; every public name still resolves
+    code = (
+        "import json, sys, matroidlab\n"
+        "loaded = 'matroidlab.verify' in sys.modules\n"
+        "missing = [n for n in matroidlab.__all__ if getattr(matroidlab, n, None) is None]\n"
+        "print(json.dumps([loaded, missing, 'matroidlab.verify' in sys.modules]))\n"
+    )
+    src = str(Path(matroidlab.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, [], True]
 
 
 def test_package_imports_only_the_standard_library():

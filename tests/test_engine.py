@@ -493,3 +493,89 @@ def test_verdicts_are_invariant_under_automorphisms(name, find, size, orderings,
                 reasons.add(a.reason)
     # the k4 sample gives bases only; the k33 sample reaches every later stage
     assert reasons == ({""} if name == "k4" else {"", "wrong_cardinality", "not_independent"})
+
+
+# -- the early stop of a search ------------------------------------------------
+
+
+def _early_stop_fixtures(field):
+    for name in ("k4", "k33", "dualk33", "r10"):
+        yield name, named_matroid(name)
+    yield "u35", uniform(3, 5)
+    for sizes in ((2, 3), (3, 4), (2, 3, 2)):
+        yield f"theta{sizes}", theta_matroid(sizes)[0]
+        yield f"phi{sizes}", phi_matroid(sizes)[0]
+    if field is GF2_FIELD:  # U(2,4) has no representation over gf3 or q that is regular
+        yield "u24", uniform(2, 4)
+
+
+@pytest.mark.parametrize("field", (GF2_FIELD, field_from_name("gf3"), Q_FIELD), ids=lambda F: F.name)
+def test_early_stop_gives_the_verdict_of_nbc_check(field):
+    # 200 seeded orderings of each fixture (all of the smaller ones); the stop
+    # must answer what nbc_check answers, whether it stops or hands on
+    rng = random.Random(f"early-stop:{field.name}")
+    reasons = set()
+    for name, m in _early_stop_fixtures(field):
+        total = count_standard_orderings(m)
+        for k in rng.sample(range(total), min(200, total)):
+            rep = nbc_check(m, standard_ordering_at(m, k), field, include_monomials=False)
+            assert engine._check_one(m, k, field) == (k, rep.verdict, rep.reason), (name, k)
+            reasons.add(rep.reason)
+    assert reasons == {"", "wrong_cardinality", "not_independent"} | (
+        {"lsop_invalid"} if field is GF2_FIELD else set())
+
+
+def _check_one_without_stop(matroid, k, field):
+    rep = nbc_check(matroid, standard_ordering_at(matroid, k), field, include_monomials=False)
+    return (k, rep.verdict, rep.reason)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("name,field,policy", (
+    ("k4", GF2_FIELD, "exhaustive"),
+    ("dualk33", Q_FIELD, "sample:150:2"),
+    ("dualk33", GF2_FIELD, "first-hit"),
+), ids=("k4-gf2-exhaustive", "dualk33-q-sample", "dualk33-gf2-first-hit"))
+def test_search_reports_do_not_depend_on_the_early_stop(name, field, policy, workers, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_SIZE", 50)
+    m = named_matroid(name)
+    stopped = search_orderings(m, field, policy=policy, workers=workers)
+    # a forked pool worker inherits the patched module
+    monkeypatch.setattr(engine, "_check_one", _check_one_without_stop)
+    assert search_orderings(m, field, policy=policy, workers=workers) == stopped
+    assert stopped.tallies["wrong_cardinality"] < stopped.checked
+
+
+def test_resumed_search_does_not_depend_on_the_early_stop(tmp_path, monkeypatch):
+    m = named_matroid("dualk33")
+    policy = "sample:200:3"
+    full, saved = _run_keeping_checkpoints(monkeypatch, m, policy, 1, os.fspath(tmp_path / "full.json"))
+    mid = next(text for text in saved if 0 < json.loads(text)["cursor"] < full.checked)
+    path = tmp_path / "resume.json"
+    path.write_text(mid)
+    monkeypatch.setattr(engine, "_check_one", _check_one_without_stop)
+    assert search_orderings(m, GF2_FIELD, policy=policy, workers=1, checkpoint_path=os.fspath(path)) == full
+
+
+def test_wrong_cardinality_builds_no_monomial(monkeypatch):
+    # a count of calls, not a timing: the stop and the include_monomials=False
+    # check decide an R10 ordering without a single Monomial
+    m = named_matroid("r10")
+    k = 123_456
+    std = standard_ordering_at(m, k)
+    full = nbc_check(m, std, GF2_FIELD)  # warms the h-vector and the rows
+    assert full.reason == "wrong_cardinality" and len(full.l_monomials) == full.l_size
+    built = []
+    init = Monomial.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", counting)
+    assert engine._check_one(m, k, GF2_FIELD) == (k, "not_basis", "wrong_cardinality")
+    rep = nbc_check(m, std, GF2_FIELD, include_monomials=False)
+    assert rep._replace(l_monomials=full.l_monomials) == full
+    assert built == []
+    nbc_check(m, std, GF2_FIELD)
+    assert len(built) >= full.l_size

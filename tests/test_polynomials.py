@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from operator import le
 
 import pytest
 
@@ -25,6 +26,7 @@ from matroidlab.polynomials import (
     quotient_dimension_macaulay,
     standard_monomials,
     staircase,
+    staircase_levels,
 )
 from matroidlab.verify import _basis_kind
 
@@ -267,9 +269,103 @@ def _brute_staircase(gb, nvars, order):
     Artinian quotient.  Shares no code with the staircase walk."""
     key = order_key(order, nvars)
     leads = [g.leading(key)[0] for g in gb]
-    top = max(m.degree() for m in leads)
+    top = max((m.degree() for m in leads), default=0)
     box = (Monomial(e) for e in product(range(top + 1), repeat=nvars))
     return tuple(sorted((m for m in box if not any(l.divides(m) for l in leads)), key=key))
+
+
+def _dfs_staircase(gens, nvars):
+    """The lexicographic depth-first staircase walk that staircase_levels
+    replaced, kept as its oracle: x1, x2, ... are set in turn, and the loop
+    at xv ends at the first exponent that a generator ending at xv divides."""
+    mins: list = []
+    for g in sorted(set(gens), key=Monomial.degree):
+        if len(g.exps) > nvars:
+            raise BadParams(f"monomial {g.show()} uses a variable beyond x{nvars}")
+        if not any(m.divides(g) for m in mins):
+            mins.append(g)
+    upper = frozenset(mins)
+    if mins and not mins[0].exps:
+        return upper, frozenset()
+    at: list = [[] for _ in range(nvars + 1)]
+    for g in mins:
+        at[len(g.exps)].append((g.exps[-1], g.exps[:-1]))
+    for v in range(1, nvars + 1):
+        if all(any(rest) for _, rest in at[v]):
+            raise NotArtinian(f"no pure power of x{v} among the generators")
+    out = []
+
+    def rec(prefix: tuple):
+        v = len(prefix) + 1
+        stop = min(a for a, rest in at[v] if all(map(le, rest, prefix)))
+        if v == nvars:
+            out.extend(Monomial(prefix + (a,)) for a in range(stop))
+        else:
+            for a in range(stop):
+                rec(prefix + (a,))
+
+    if nvars:
+        rec(())
+    else:
+        out.append(Monomial.one())
+    return upper, frozenset(out)
+
+
+def _random_monomial_ideal(rng, nvars):
+    """Seeded generators in nvars variables: usually a pure power of every
+    variable, sometimes not (not Artinian), now and then the unit or a
+    monomial in x(nvars+1).  Exponents stay small enough for the box."""
+    top = 3 if nvars > 4 else 4
+    gens = [
+        Monomial.variable(v, rng.randint(1, top))
+        for v in range(1, nvars + 1)
+        if rng.random() < 0.97
+    ]
+    for _ in range(rng.randint(0, 6) if nvars else 0):
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, top)):
+            exps[rng.randrange(nvars)] += 1
+        gens.append(Monomial(exps))
+    if rng.random() < 0.05:
+        gens.append(Monomial.one())
+    if rng.random() < 0.05:
+        gens.append(Monomial.variable(nvars + 1))
+    rng.shuffle(gens)
+    return gens
+
+
+def _outcome(walk, gens, nvars):
+    try:
+        return walk(gens, nvars)
+    except (BadParams, NotArtinian) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_staircase_matches_the_dfs_walk_and_the_box():
+    # the degree-by-degree walk against the walk it replaced, and its members
+    # against every point of a box that no generator divides
+    rng = random.Random("staircase-levels")
+    kinds = set()
+    for i in range(360):
+        nvars = i % 7
+        gens = _random_monomial_ideal(rng, nvars)
+        got = _outcome(staircase, gens, nvars)
+        assert got == _outcome(_dfs_staircase, gens, nvars), (nvars, gens)
+        if isinstance(got[0], str):
+            kinds.add(got[0])
+            continue
+        kinds.add("unit" if not got[1] else "finite")
+        leads = [Polynomial(GF2_FIELD, nvars, {g: GF2_FIELD.one()}) for g in gens]
+        assert got[1] == frozenset(_brute_staircase(leads, nvars, "grlex")), (nvars, gens)
+    assert kinds == {"finite", "unit", "BadParams", "NotArtinian"}
+
+
+def test_staircase_levels_hold_one_degree_each():
+    # x1^2, x1 x2, x2^3: 1 | x1 x2 | x2^2
+    levels = [sorted(level) for level in staircase_levels([(2, 0), (1, 1), (0, 3)], 2)]
+    assert levels == [[(0, 0)], [(0, 1), (1, 0)], [(0, 2)]]
+    assert list(staircase_levels([(0, 0), (1, 0)], 2)) == []
+    assert [list(level) for level in staircase_levels([], 0)] == [[()]]
 
 
 def test_standard_monomials_edge_cases():
