@@ -415,8 +415,9 @@ def staircase(gens, nvars: int) -> tuple:
     monomials outside it, each a frozenset of Monomials.  Raises BadParams
     for a generator in a variable past the first nvars, and NotArtinian,
     naming the first variable with no pure power among the generators, when
-    infinitely many monomials lie outside.  The members are the levels of
-    staircase_levels.
+    infinitely many monomials lie outside.  The members are walked degree by
+    degree (staircase_levels): a monomial lies outside exactly when it is
+    not a generator and each of its quotients by a variable lies outside.
 
     The generators are minimised in order of degree: a proper divisor has a
     smaller degree, so it is kept before the monomials it divides.

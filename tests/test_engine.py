@@ -505,7 +505,7 @@ def _early_stop_fixtures(field):
     for sizes in ((2, 3), (3, 4), (2, 3, 2)):
         yield f"theta{sizes}", theta_matroid(sizes)[0]
         yield f"phi{sizes}", phi_matroid(sizes)[0]
-    if field is GF2_FIELD:  # U(2,4) has no representation over gf3 or q that is regular
+    if field is GF2_FIELD:  # U(2,4) is not regular, so gf3 and q refuse it
         yield "u24", uniform(2, 4)
 
 
