@@ -13,7 +13,7 @@ import pytest
 
 import matroidlab
 from matroidlab.cli import main
-from matroidlab.matroids import Matroid, uniform
+from matroidlab.matroids import Matroid, from_graph, uniform
 
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -228,6 +228,14 @@ PINNED_OUTPUT = (
      "e26bb78371eee04102402627220a3b7e9587d3e1319fe5ef49284270561e4814"),
     (["named", "dualk33"], ["nbc", "check", "--field", "q", "--ordering", "e3,e2,e7,e5,e9,e1,e4,e6,e8"], 1,
      "81cc778728db0dbec746e30df356e3f8610d905235eb552774205e98881f4231"),
+    # the facet count of hvector: R10's 51, the empty matroid's one empty
+    # facet, and none when a loop voids the complex
+    (["named", "r10"], ["hvector"], 0,
+     "5f09fc9bc7e721b924fe431e86e45e2cfc1a96d2f3f979da51d5c5df7bf28ef4"),
+    (uniform(0, 0), ["hvector"], 0,
+     "e19101c33cd2d723cfc153e6783170e0c6694a48e85329760238285a346fd770"),
+    (from_graph([("a", "a"), ("a", "b"), ("b", "c")]), ["hvector"], 0,
+     "a68380bdaf19ec0ada9381f704def29e9e16ee232b9da2da1b04640c765ae390"),
 )
 
 
