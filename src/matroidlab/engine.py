@@ -36,7 +36,7 @@ from .complexes import (
 )
 from .errors import BadParams, NoCocircuitPair
 from .fields import Field, GF2_FIELD, field_from_name
-from .incidence import basis_is_nonsingular, fundamental_matrices, fundamental_rows
+from .incidence import basis_is_nonsingular, fundamental_rows
 from .matroids import Matroid, matroid_from_json
 from .polynomials import (
     METHODS, Ideal, Monomial, Polynomial, groebner_basis,
@@ -138,13 +138,14 @@ def lsop(
     a quotient by rank-many linear forms decides finite-dimensionality
     (Kind-Kleinschmidt 1979).
 
-    Only GF(2) walks the facets, on the dense cocircuit matrix of
-    fundamental_matrices, built only when there is a facet to walk.
-    Elsewhere the rows are a standard form of representation_over(field)
-    (the source matrix, a signed incidence or uniform matrix, or a
-    certified TU signing), whose column matroid is M, and each facet is a
-    basis (no circuit, size rank), so none is singular.  Over GF(2) the
-    rows are the oracle's and represent M only if M is binary.
+    Only GF(2) walks the facets, testing each facet's columns of the same
+    fundamental cocircuit rows the forms are read from; no dense matrix is
+    made.  Elsewhere the rows are a standard form of
+    representation_over(field) (the source matrix, a signed incidence or
+    uniform matrix, or a certified TU signing), whose column matroid is M,
+    and each facet is a basis (no circuit, size rank), so none is singular.
+    Over GF(2) the rows are the oracle's and represent M only if M is
+    binary.
     """
     t = len(std.cobasis)
     F = field
@@ -170,9 +171,7 @@ def lsop(
     valid = bad = None
     if validate:
         facets = bc_facets(matroid, std.ordering) if F.char == 2 else ()
-        if facets:
-            cm = fundamental_matrices(matroid, std.ordering, F).cocircuit_matrix
-            bad = next((f for f in facets if not basis_is_nonsingular(matroid, cm, f)), None)
+        bad = next((f for f in facets if not basis_is_nonsingular(rows, f, F)), None)
         valid = bad is None
     return ThetaSystem(substitution, tuple(gens), ideal, valid, bad)
 
@@ -258,6 +257,14 @@ def _h_vector(matroid: Matroid, std: StandardOrdering) -> HVector:
     return cached
 
 
+def _first_miss(sizes, h: HVector) -> tuple | None:
+    """(d, got, want) at the first degree d whose candidate count `got`
+    differs from h_d = `want`, or None.  Counts past either end are 0, and
+    `sizes` is read only up to the miss, so a lazy walk stops there."""
+    pairs = zip_longest(sizes, h.entries, fillvalue=0)
+    return next(((d, got, want) for d, (got, want) in enumerate(pairs) if got != want), None)
+
+
 def nbc_check(
     matroid: Matroid,
     std: StandardOrdering,
@@ -279,8 +286,7 @@ def nbc_check(
         raise BadParams(f"unknown method {method!r}")
     h = _h_vector(matroid, std)
     levels = list(staircase_levels(_candidate_exponents(matroid, std), len(std.cobasis)))
-    pairs = list(zip_longest(map(len, levels), h.entries, fillvalue=0))
-    mismatch = next((d for d, (got, want) in enumerate(pairs) if got != want), None)
+    mismatch = _first_miss(map(len, levels), h)
     # a wrong_cardinality verdict needs no Monomials; grlex ascends by degree,
     # then by dense tuple
     L = ()
@@ -305,10 +311,10 @@ def nbc_check(
         )
 
     if mismatch is not None:
-        got, want = pairs[mismatch]
+        d, got, want = mismatch
         return report(
             None, False, None, None, "not_basis", "wrong_cardinality",
-            f"degree {mismatch}: {got} candidate monomials, h_{mismatch} = {want}",
+            f"degree {d}: {got} candidate monomials, h_{d} = {want}",
         )
     theta = lsop(matroid, std, field, validate=True)
     if not theta.valid:
@@ -459,7 +465,7 @@ def _check_one(matroid: Matroid, k: int, field: Field) -> tuple:
     past the top of h, or an empty one below it, counts)."""
     std = standard_ordering_at(matroid, k)
     sizes = map(len, staircase_levels(_candidate_exponents(matroid, std), len(std.cobasis)))
-    if any(a != b for a, b in zip_longest(sizes, _h_vector(matroid, std).entries, fillvalue=0)):
+    if _first_miss(sizes, _h_vector(matroid, std)) is not None:
         return (k, "not_basis", "wrong_cardinality")
     rep = nbc_check(matroid, std, field, method="macaulay", include_monomials=False)
     return (k, rep.verdict, rep.reason)

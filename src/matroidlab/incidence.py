@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .complexes import Ordering, standard_ordering
 from .errors import BadParams, NotRegular
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, RowSpace
 from .matroids import Matroid
 
 
@@ -47,8 +47,6 @@ class FundamentalMatrices(NamedTuple):
     """
 
     ordering: tuple
-    basis: tuple
-    cobasis: tuple
     circuit_matrix: Matrix
     cocircuit_matrix: Matrix
 
@@ -145,7 +143,7 @@ def fundamental_matrices(matroid: Matroid, ordering, field: Field) -> Fundamenta
             _check_support(F, labels, row, matroid.fundamental_circuit(bset, e))
         for b, row in zip(basis, coc_rows):
             _check_support(F, labels, row, matroid.fundamental_cocircuit(bset, b))
-    return FundamentalMatrices(labels, basis, cobasis, cm, dm)
+    return FundamentalMatrices(labels, cm, dm)
 
 
 def _full_matrix(matroid: Matroid, field: Field, ordering, elementary, row_of) -> Matrix:
@@ -252,22 +250,18 @@ def check_rank_identities(matroid: Matroid, ordering, field: Field) -> RankRepor
     )
 
 
-def basis_is_nonsingular(matroid: Matroid, cocircuit_matrix: Matrix, subset) -> bool:
-    """True iff the square column-submatrix on `subset` is nonsingular.
+def basis_is_nonsingular(rows: dict, subset, field: Field) -> bool:
+    """True iff the columns on `subset` of `rows` are linearly independent.
 
-    cocircuit_matrix must be an r x n matrix whose row space equals the row
-    space of a representation (any output of fundamental_matrices or
-    full_cocircuit_matrix qualifies); then nonsingularity of the selected
-    columns is equivalent to `subset` being a basis.
+    rows must be fundamental_rows(M, B, field) for some basis B, so there
+    is one row per basis element.  Where those rows are a standard form of a
+    representation of M, the columns on a rank-sized subset are independent
+    exactly when the subset is a basis.  BadParams when the subset's size is
+    not the rank.
     """
-    r = matroid.rank()
     sub = frozenset(subset)
-    if len(sub) != r:
-        raise BadParams(f"subset size {len(sub)} differs from rank {r}")
-    if r == 0:
-        return True
-    if cocircuit_matrix.col_labels is None:
-        raise BadParams("cocircuit matrix must carry column labels")
-    pos = {lab: j for j, lab in enumerate(cocircuit_matrix.col_labels)}
-    idx = [pos[lab] for lab in sorted(sub, key=matroid.position.get)]
-    return cocircuit_matrix.select_columns(idx).rank() == r
+    if len(sub) != len(rows):
+        raise BadParams(f"subset size {len(sub)} differs from rank {len(rows)}")
+    z = field.zero()
+    space = RowSpace(field, len(rows))
+    return all(space.add([row.get(e, z) for row in rows.values()]) for e in sub)

@@ -2,9 +2,10 @@
 
 Four backends share one independence-oracle interface: column matroids of
 exact matrices, graphic matroids of edge lists, uniform matroids, and
-explicit circuit lists (used for parallel connections).  Enumerations
-(circuits, cocircuits, bases) are cached and refuse ground sets larger
-than ENUMERATION_CAP, since everything here is desk scale by design.
+explicit circuit lists (used for parallel connections and for every minor).
+Enumerations (circuits, cocircuits, bases) are cached and refuse ground
+sets larger than ENUMERATION_CAP, since everything here is desk scale by
+design.
 """
 
 from __future__ import annotations
@@ -344,47 +345,24 @@ class Matroid:
     # -- minors --------------------------------------------------------------
 
     def delete(self, elems) -> "Matroid":
-        drop = {elems} if isinstance(elems, str) else set(elems)
-        if not drop <= set(self.ground):
-            raise BadParams("cannot delete elements outside the ground set")
+        """M minus T, whose circuits are the circuits of M that avoid T.
+
+        Both minors are read off M's circuits, so ENUMERATION_CAP applies,
+        and both are circuit-defined, with no field representation."""
+        drop = frozenset([elems] if isinstance(elems, str) else elems)
+        self._check_labels(drop)
         keep = [e for e in self.ground if e not in drop]
-        be = self.backend
-        if isinstance(be, _UniformBackend):
-            return uniform(min(be.r, len(keep)), len(keep), keep)
-        if isinstance(be, _ColumnBackend):
-            cols = [self.position[e] for e in keep]
-            return from_matrix(be.matrix.select_columns(cols), keep)
-        if isinstance(be, _GraphicBackend):
-            return from_graph([be.edge_of[e] for e in keep], keep)
-        circs = [c for c in be.circuits if not c & drop]
-        return from_circuits(circs, keep)
+        return from_circuits([c for c in self.circuits() if not c & drop], keep)
 
     def contract(self, elems) -> "Matroid":
-        take = [elems] if isinstance(elems, str) else list(elems)
-        m = self
-        for e in take:
-            m = m._contract_one(e)
-        return m
-
-    def _contract_one(self, e: str) -> "Matroid":
-        if e not in self.position:
-            raise BadParams(f"{e} not in ground set")
-        if not self.is_independent([e]):
-            return self.delete(e)
-        keep = [x for x in self.ground if x != e]
-        be = self.backend
-        if isinstance(be, _UniformBackend):
-            return uniform(be.r - 1, len(keep), keep)
-        if isinstance(be, _ColumnBackend):
-            reduced = _contract_column(be.matrix, self.position[e])
-            return from_matrix(reduced, keep)
-        if isinstance(be, _GraphicBackend):
-            u, v = be.edge_of[e]
-            sub = lambda w: u if w == v else w
-            return from_graph([(sub(a), sub(b)) for a, b in (be.edge_of[x] for x in keep)], keep)
-        cands = [c - {e} for c in self.circuits() if c != {e}]
-        minimal = [c for c in set(cands) if not any(d < c for d in cands)]
-        return from_circuits(minimal, keep)
+        """M/T, whose circuits are the minimal nonempty sets C - T over the
+        circuits C of M (Oxley, Matroid Theory, 2011, Prop. 3.1.11); this
+        holds when T has loops or is dependent too."""
+        take = frozenset([elems] if isinstance(elems, str) else elems)
+        self._check_labels(take)
+        cands = {c - take for c in self.circuits()} - {frozenset()}
+        minimal = [c for c in cands if not any(d < c for d in cands)]
+        return from_circuits(minimal, [e for e in self.ground if e not in take])
 
     # -- representations --------------------------------------------------------
 
@@ -650,11 +628,23 @@ def represented_parallel_connection(m: Matroid, n: Matroid, p: str) -> Matroid:
 
 
 def _basepoint_first(mat: Matrix, col: int) -> Matrix:
-    """Row-reduce so the given column is the first unit vector, dropping zero rows."""
-    work, pr = _pivot(mat, col, "basepoint column is zero")
-    z = mat.field.zero()
+    """Row-reduce so the given column is the first unit vector, dropping zero
+    rows: one Gauss-Jordan step on the first row with a nonzero in the
+    column, scaled to 1 there; DegenerateElement when the column is zero."""
+    F, z = mat.field, mat.field.zero()
+    work = [list(r) for r in mat.entries]
+    pr = next((i for i, r in enumerate(work) if r[col] != z), None)
+    if pr is None:
+        raise DegenerateElement("basepoint column is zero")
+    inv = F.inv(work[pr][col])
+    if inv != F.one():
+        work[pr] = [F.mul(inv, x) for x in work[pr]]
+    for i, r in enumerate(work):
+        f = r[col]
+        if i != pr and f != z:
+            work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(r, work[pr])]
     rest = [r for i, r in enumerate(work) if i != pr and any(x != z for x in r)]
-    return Matrix(mat.field, [work[pr]] + rest)
+    return Matrix(F, [work[pr]] + rest)
 
 
 def cocircuits_via_transversals(m: Matroid) -> tuple:
@@ -670,32 +660,6 @@ def cocircuits_via_transversals(m: Matroid) -> tuple:
             if all(s & b for b in bases):
                 found.append(s)
     return tuple(sorted(found, key=m._circuit_key))
-
-
-def _contract_column(mat: Matrix, col: int) -> Matrix:
-    """Pivot on the column, then drop its row and column."""
-    work, pr = _pivot(mat, col, "contracting a loop column")
-    rows = [r[:col] + r[col + 1:] for i, r in enumerate(work) if i != pr]
-    return Matrix(mat.field, rows or [[mat.field.zero()] * (mat.ncols - 1)])
-
-
-def _pivot(mat: Matrix, col: int, what: str) -> tuple:
-    """(rows, pivot row): one Gauss-Jordan step on the first row with a
-    nonzero in the column, scaled to 1 there; DegenerateElement(what) when
-    the column is zero."""
-    F, z = mat.field, mat.field.zero()
-    work = [list(r) for r in mat.entries]
-    pr = next((i for i, r in enumerate(work) if r[col] != z), None)
-    if pr is None:
-        raise DegenerateElement(what)
-    inv = F.inv(work[pr][col])
-    if inv != F.one():
-        work[pr] = [F.mul(inv, x) for x in work[pr]]
-    for i, r in enumerate(work):
-        f = r[col]
-        if i != pr and f != z:
-            work[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(r, work[pr])]
-    return work, pr
 
 
 def _support(mat: Matrix) -> Matrix:

@@ -32,11 +32,7 @@ from .errors import (
 )
 from .families import named_matroid, phi_matroid, theta_matroid
 from .fields import GF2_FIELD, Q_FIELD, GFp
-from .incidence import (
-    basis_is_nonsingular,
-    check_rank_identities,
-    fundamental_matrices,
-)
+from .incidence import basis_is_nonsingular, check_rank_identities, fundamental_rows
 from .matroids import Matroid, cocircuits_via_transversals, uniform
 from .polynomials import (
     Ideal,
@@ -294,12 +290,9 @@ def _incidence_suite() -> tuple:
                 if not rr.ok:
                     problems.append(f"{name}/{field.name}: rank identities at {ordering}")
                     continue
-                fm = fundamental_matrices(m, ordering, field)
+                rows = fundamental_rows(m, bases[i], field)
                 for sub in combinations(m.ground, r):
-                    agree = basis_is_nonsingular(
-                        m, fm.cocircuit_matrix, sub
-                    ) == m.is_independent(frozenset(sub))
-                    if not agree:
+                    if basis_is_nonsingular(rows, sub, field) != m.is_independent(frozenset(sub)):
                         problems.append(f"{name}/{field.name}: disagreement at {sub}")
                         break
                 sweeps += 1

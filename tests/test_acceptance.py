@@ -3,7 +3,7 @@ prints its [PASS]/[FAIL] line.  `matroidlab verify paper` runs the same nine
 checks from the command line.
 
 Set MATROIDLAB_R10_EXHAUSTIVE=1 to extend criterion 4 from the reproducible
-10,000-ordering sample to the full 2,332,800-ordering scan (about 35
+10,000-ordering sample to the full 2,332,800-ordering scan (about 5
 CPU-minutes).
 """
 

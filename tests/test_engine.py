@@ -6,7 +6,7 @@ from itertools import permutations, product
 import pytest
 
 from matroidlab import engine, matroids
-from matroidlab.complexes import bc_facets
+from matroidlab.complexes import HVector, bc_facets
 from matroidlab.engine import (
     candidate_monomials,
     count_standard_orderings,
@@ -26,7 +26,7 @@ from matroidlab.errors import (
 )
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
-from matroidlab.incidence import basis_is_nonsingular, fundamental_matrices
+from matroidlab.incidence import basis_is_nonsingular, fundamental_matrices, fundamental_rows
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, uniform
 from matroidlab.polynomials import Monomial, Polynomial, order_key
@@ -435,7 +435,7 @@ def test_macaulay_and_groebner_agree_on_matroid_quotients(m, field):
 def test_lsop_valid_without_facet_walk_agrees_with_it(name):
     # over a field of characteristic other than 2 lsop does not walk the
     # facets: its rows represent M, so every facet, a basis, is nonsingular;
-    # this walks them against the dense matrix of the same rows
+    # this walks them against the same rows
     field = field_from_name(name)
     instances = [named_matroid(n) for n in ("r10", "dualk33", "dualk33raw", "k33", "k4")]
     instances += [build(sizes)[0] for build in (theta_matroid, phi_matroid)
@@ -444,9 +444,9 @@ def test_lsop_valid_without_facet_walk_agrees_with_it(name):
         for std in _seeded_orderings(m, 3):
             th = lsop(m, std, field)
             assert th.valid is True and th.invalid_facet is None, std
-            cm = fundamental_matrices(m, std.labels, field).cocircuit_matrix
+            rows = fundamental_rows(m, std.basis, field)
             for facet in bc_facets(m, std.ordering):
-                assert basis_is_nonsingular(m, cm, facet), (std, facet)
+                assert basis_is_nonsingular(rows, facet, field), (std, facet)
 
 
 def _automorphisms_by_brute_force(m):
@@ -523,6 +523,20 @@ def test_early_stop_gives_the_verdict_of_nbc_check(field):
             reasons.add(rep.reason)
     assert reasons == {"", "wrong_cardinality", "not_independent"} | (
         {"lsop_invalid"} if field is GF2_FIELD else set())
+
+
+def test_first_miss_counts_past_either_end_as_zero():
+    h = HVector((1, 2, 1))
+    assert engine._first_miss([1, 2, 1], h) is None
+    assert engine._first_miss([1, 2, 1, 0], h) is None
+    assert engine._first_miss([1, 2], h) == (2, 0, 1)
+    assert engine._first_miss([1, 2, 1, 3], h) == (3, 3, 0)
+
+    def sizes():  # nothing past the miss is read
+        yield from (1, 3)
+        raise AssertionError("read past the first miss")
+
+    assert engine._first_miss(sizes(), h) == (1, 3, 2)
 
 
 def _check_one_without_stop(matroid, k, field):

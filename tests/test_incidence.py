@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from matroidlab.complexes import standard_ordering
 from matroidlab.errors import BadParams, NotRegular, NotStandardOrdering
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
@@ -17,6 +18,7 @@ from matroidlab.incidence import (
 )
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, from_matrix, uniform
+from matroidlab.verify import family_fixtures, named_fixtures, uniform_fixtures
 from test_linalg import rref_rows
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
@@ -25,7 +27,8 @@ TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
 def test_fundamental_shapes_u23_over_q():
     m = uniform(2, 3)
     fm = fundamental_matrices(m, ("e1", "e2", "e3"), Q_FIELD)
-    assert fm.cobasis == ("e1",) and fm.basis == ("e2", "e3")
+    std = standard_ordering(m, ("e1", "e2", "e3"))
+    assert std.cobasis == ("e1",) and std.basis == ("e2", "e3")
     assert (fm.circuit_matrix.nrows, fm.circuit_matrix.ncols) == (1, 3)
     assert (fm.cocircuit_matrix.nrows, fm.cocircuit_matrix.ncols) == (2, 3)
     # identity blocks: circuit rows start with I, cocircuit rows end with I
@@ -42,13 +45,14 @@ def test_fundamental_rows_support_matches_oracle():
     ordering = ("e2", "e4", "e1", "e3", "e5")
     for field in (GF2_FIELD, Q_FIELD):
         fm = fundamental_matrices(m, ordering, field)
-        basis = frozenset(fm.basis)
+        std = standard_ordering(m, ordering)
+        basis = frozenset(std.basis)
         z = field.zero()
-        for i, e in enumerate(fm.cobasis):
+        for i, e in enumerate(std.cobasis):
             want = m.fundamental_circuit(basis, e)
             got = {ordering[j] for j, x in enumerate(fm.circuit_matrix.entries[i]) if x != z}
             assert got == want
-        for i, b in enumerate(fm.basis):
+        for i, b in enumerate(std.basis):
             want = m.fundamental_cocircuit(basis, b)
             got = {ordering[j] for j, x in enumerate(fm.cocircuit_matrix.entries[i]) if x != z}
             assert got == want
@@ -104,11 +108,31 @@ def test_rank_identities_on_graphs():
 
 def test_basis_nonsingular_agrees_with_oracle():
     m = from_graph(TRIANGLE + (("c", "d"),))
-    fm = fundamental_matrices(m, ("e3", "e1", "e2", "e4"), Q_FIELD)
+    rows = fundamental_rows(m, ("e1", "e2", "e4"), Q_FIELD)
     for sub in combinations(m.ground, m.rank()):
-        assert basis_is_nonsingular(m, fm.cocircuit_matrix, sub) == m.is_independent(sub)
+        assert basis_is_nonsingular(rows, sub, Q_FIELD) == m.is_independent(sub)
     with pytest.raises(BadParams):
-        basis_is_nonsingular(m, fm.cocircuit_matrix, ("e1",))
+        basis_is_nonsingular(rows, ("e1",), Q_FIELD)
+
+
+@pytest.mark.parametrize("name", ("gf2", "gf3", "q"))
+def test_basis_nonsingular_on_rows_equals_the_dense_column_rank(name):
+    # the rows of fundamental_rows, tested column by column, against the
+    # rank of the same columns of fundamental_matrices' dense cocircuit
+    # matrix; U(2,4) has oracle rows over gf2 only
+    field = field_from_name(name)
+    fixtures = [m for n, m in uniform_fixtures() + named_fixtures() if n != "u24" or field.char == 2]
+    fixtures += [m for _, m, _ in family_fixtures()]
+    for m in fixtures:
+        r = m.rank()
+        for basis in m.bases()[:: max(1, len(m.bases()) // 3)]:
+            ordering = [e for e in m.ground if e not in basis] + sorted(basis, key=m.position.get)
+            cm = fundamental_matrices(m, ordering, field).cocircuit_matrix
+            rows = fundamental_rows(m, basis, field)
+            for sub in combinations(m.ground, r):
+                idx = [ordering.index(e) for e in sub]
+                dense = r == 0 or cm.select_columns(idx).rank() == r
+                assert basis_is_nonsingular(rows, sub, field) == dense, (m, basis, sub)
 
 
 def test_u23_exact_signed_entries():
