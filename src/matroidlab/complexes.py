@@ -3,8 +3,8 @@
 An ordering is a permutation of the ground set; positions are 1-based.
 A broken circuit is a circuit minus its smallest element, and a face is
 any subset of the ground set containing no broken circuit.  Face numbers
-do not depend on the ordering, which is itself a tested invariant rather
-than an assumption here.
+do not depend on the ordering (Whitney's broken-circuit theorem); h_vector
+relies on that to cache M's h, and criterion 9 tests it uncached.
 
 Loops make the complex void (the empty circuit's broken circuit is the
 empty set, which every subset contains): all face counts are zero.
@@ -203,6 +203,19 @@ def f_h_vectors(matroid: Matroid, ordering) -> tuple:
     return tuple(f), HVector(tuple(h))
 
 
+def h_vector(matroid: Matroid, ordering) -> HVector:
+    """The h-vector of M, computed under the first ordering asked and cached
+    on M.  That is sound because f and h do not depend on the ordering: by
+    Whitney's broken-circuit theorem f_{i-1} is the absolute Whitney number
+    of the first kind |w_i| of M, which no ordering enters.  Criterion 9
+    checks that invariant with f_h_vectors, uncached."""
+    cached = matroid._cache.get("h_vector")
+    if cached is None:
+        _, cached = f_h_vectors(matroid, ordering)
+        matroid._cache["h_vector"] = cached
+    return cached
+
+
 class RecursionReport(NamedTuple):
     element: str
     ok: bool
@@ -217,12 +230,12 @@ def h_recursion_check(matroid: Matroid, ordering, element) -> RecursionReport:
     Requires e to be neither a loop nor a coloop (DegenerateElement
     otherwise: deletion would drop rank or contraction would force one)."""
     o = _as_ordering(matroid, ordering)
-    if element in matroid.loops():
+    if not matroid.is_independent([element]):
         raise DegenerateElement(f"{element} is a loop")
-    if element in matroid.coloops():
-        raise DegenerateElement(f"{element} is a coloop")
     rest = [lab for lab in o.labels if lab != element]
-    _, h = f_h_vectors(matroid, o)
+    if matroid.rank(rest) < matroid.rank():
+        raise DegenerateElement(f"{element} is a coloop")
+    h = h_vector(matroid, o)
     _, hd = f_h_vectors(matroid.delete([element]), Ordering(rest))
     _, hc = f_h_vectors(matroid.contract([element]), Ordering(rest))
     d = len(h.entries)

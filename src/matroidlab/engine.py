@@ -31,7 +31,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .complexes import (
-    HVector, Ordering, StandardOrdering, bc_facets, f_h_vectors, h_recursion_check,
+    HVector, Ordering, StandardOrdering, bc_facets, h_recursion_check, h_vector,
     standard_ordering,
 )
 from .errors import BadParams, NoCocircuitPair
@@ -249,14 +249,6 @@ class NbcReport(NamedTuple):
         return self.verdict == "basis"
 
 
-def _h_vector(matroid: Matroid, std: StandardOrdering) -> HVector:
-    cached = matroid._cache.get("h_vector")
-    if cached is None:
-        _, cached = f_h_vectors(matroid, std.ordering)
-        matroid._cache["h_vector"] = cached
-    return cached
-
-
 def _first_miss(sizes, h: HVector) -> tuple | None:
     """(d, got, want) at the first degree d whose candidate count `got`
     differs from h_d = `want`, or None.  Counts past either end are 0, and
@@ -284,7 +276,7 @@ def nbc_check(
     """
     if method not in METHODS:
         raise BadParams(f"unknown method {method!r}")
-    h = _h_vector(matroid, std)
+    h = h_vector(matroid, std.ordering)
     levels = list(staircase_levels(_candidate_exponents(matroid, std), len(std.cobasis)))
     mismatch = _first_miss(map(len, levels), h)
     # a wrong_cardinality verdict needs no Monomials; grlex ascends by degree,
@@ -465,7 +457,7 @@ def _check_one(matroid: Matroid, k: int, field: Field) -> tuple:
     past the top of h, or an empty one below it, counts)."""
     std = standard_ordering_at(matroid, k)
     sizes = map(len, staircase_levels(_candidate_exponents(matroid, std), len(std.cobasis)))
-    if _first_miss(sizes, _h_vector(matroid, std)) is not None:
+    if _first_miss(sizes, h_vector(matroid, std.ordering)) is not None:
         return (k, "not_basis", "wrong_cardinality")
     rep = nbc_check(matroid, std, field, method="macaulay", include_monomials=False)
     return (k, rep.verdict, rep.reason)

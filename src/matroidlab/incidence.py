@@ -27,6 +27,7 @@ column order, equals +1.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .complexes import Ordering, standard_ordering
@@ -226,6 +227,17 @@ class RankReport(NamedTuple):
         )
 
 
+def _orthogonal(field: Field, a: Matrix, b: Matrix) -> bool:
+    """Every row of a is orthogonal to every row of b, each dot product
+    summed over the columns where both rows are nonzero."""
+    z = field.zero()
+    rows_a, rows_b = ([{j: x for j, x in enumerate(r) if x != z} for r in m.entries] for m in (a, b))
+    return all(
+        reduce(field.add, (field.mul(x, v[j]) for j, x in u.items() if j in v), z) == z
+        for u in rows_a for v in rows_b
+    )
+
+
 def check_rank_identities(matroid: Matroid, ordering, field: Field) -> RankReport:
     """Ranks of all four incidence matrices plus pairwise orthogonality."""
     fm = fundamental_matrices(matroid, ordering, field)
@@ -233,11 +245,6 @@ def check_rank_identities(matroid: Matroid, ordering, field: Field) -> RankRepor
     dm = full_cocircuit_matrix(matroid, field, fm.ordering)
     n = len(fm.ordering)
     r = matroid.rank()
-    ortho = True
-    for a in (fm.circuit_matrix, cm):
-        for b in (fm.cocircuit_matrix, dm):
-            if a.nrows and b.nrows and not a.matmul(b.transpose()).is_zero():
-                ortho = False
     return RankReport(
         n=n,
         rank=r,
@@ -246,7 +253,9 @@ def check_rank_identities(matroid: Matroid, ordering, field: Field) -> RankRepor
         full_circuit_rank=cm.rank(),
         fundamental_cocircuit_rank=fm.cocircuit_matrix.rank(),
         full_cocircuit_rank=dm.rank(),
-        orthogonal=ortho,
+        orthogonal=all(
+            _orthogonal(field, a, b) for a in (fm.circuit_matrix, cm) for b in (fm.cocircuit_matrix, dm)
+        ),
     )
 
 

@@ -75,26 +75,6 @@ class Matrix:
     def column(self, j: int):
         return tuple(r[j] for r in self.entries)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)) if self.entries else [])
-
-    def select_columns(self, col_idx) -> "Matrix":
-        labels = None if self.col_labels is None else [self.col_labels[j] for j in col_idx]
-        rows = [[r[j] for j in col_idx] for r in self.entries]
-        return Matrix(self.field, rows, col_labels=labels)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows or self.field != other.field:
-            raise BadSize("matmul shape/field mismatch")
-        F = self.field
-        cols = list(zip(*other.entries)) if other.entries else []
-        out = [[_dot(F, r, c) for c in cols] for r in self.entries]
-        return Matrix(F, out) if cols else Matrix.zero(F, self.nrows, other.ncols)
-
-    def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for r in self.entries for x in r)
-
     def map_to_field(self, field: Field) -> "Matrix":
         """Reinterpret integral entries in another field (e.g. TU matrix mod 2)."""
         return Matrix.from_int_rows(field, _integer_entries(self), self.col_labels)
@@ -147,13 +127,6 @@ class Matrix:
         m = self.nrows
         ext = [[int(i == k) for k in range(m)] + r for i, r in enumerate(ints)]
         return is_unimodular_standard_form(Matrix.from_int_rows(Q_FIELD, ext), range(m))
-
-
-def _dot(F: Field, a, b):
-    acc = F.zero()
-    for x, y in zip(a, b):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
 
 
 def _integer_entries(m: Matrix):

@@ -5,7 +5,9 @@ exact matrices, graphic matroids of edge lists, uniform matroids, and
 explicit circuit lists (used for parallel connections and for every minor).
 Enumerations (circuits, cocircuits, bases) are cached and refuse ground
 sets larger than ENUMERATION_CAP, since everything here is desk scale by
-design.
+design.  The bases are the r-subsets the oracle accepts; the circuits of
+column and graphic matroids, and every matroid's cocircuits, are read off
+them as fundamental circuits and cocircuits, with no scan of subsets.
 """
 
 from __future__ import annotations
@@ -223,6 +225,10 @@ class Matroid:
             raise Overbudget(f"ground set of {len(self.ground)} exceeds cap {ENUMERATION_CAP}")
 
     def circuits(self) -> tuple:
+        """The circuits in _circuit_key order: listed for a circuit-defined
+        matroid, every (r + 1)-set for U(r, n), else the fundamental circuits
+        C(B, e) over the bases B, since a circuit C is C(B, e) for any basis
+        B containing C - e (Oxley, Matroid Theory, 2011, ch. 2)."""
         if "circuits" in self._cache:
             return self._cache["circuits"]
         self._guard()
@@ -236,40 +242,34 @@ class Matroid:
                 else []
             )
         else:
-            found = self._minimal_scan(self.is_independent, self.rank() + 1)
+            found = self._fundamentals(self.fundamental_circuit, dual=False)
         found = tuple(sorted(found, key=self._circuit_key))
         self._cache["circuits"] = found
         return found
 
     def cocircuits(self) -> tuple:
-        """Circuits of the dual, enumerated through the coindependence oracle."""
+        """The cocircuits in _circuit_key order: the fundamental cocircuits
+        C*(B, b) over the bases B, since a cocircuit D is C*(B, b) for any
+        basis B with B & D = {b} (Oxley, ch. 2)."""
         if "cocircuits" in self._cache:
             return self._cache["cocircuits"]
         self._guard()
-        corank_limit = len(self.ground) - self.rank() + 1
-        found = self._minimal_scan(self.is_coindependent, corank_limit)
+        found = self._fundamentals(self.fundamental_cocircuit, dual=True)
         found = tuple(sorted(found, key=self._circuit_key))
         self._cache["cocircuits"] = found
         return found
 
-    def _minimal_scan(self, indep, size_limit):
-        """Minimal dependent sets by increasing size under the given oracle.
-
-        Subsets are bit masks over ground positions, so containment of a
-        found set is f & m == f; only a set handed to the oracle becomes
-        a frozenset of labels."""
-        ground = self.ground
-        bits = [1 << i for i in range(len(ground))]
-        masks, found = [], []
-        for k in range(1, size_limit + 1):
-            for c in combinations(range(len(ground)), k):
-                m = sum(bits[i] for i in c)
-                if any(f & m == f for f in masks):
-                    continue
-                s = frozenset(ground[i] for i in c)
-                if not indep(s):
-                    masks.append(m)
-                    found.append(s)
+    def _fundamentals(self, fundamental, dual: bool) -> list:
+        """The distinct fundamental(B, x) over the bases B and x in S, where
+        S is B for cocircuits (dual) and E - B for circuits.  A set already
+        found that meets S in {x} alone is fundamental(B, x), so that pair
+        is skipped: the circuit in B + e through e is unique, and so is the
+        cocircuit in (E - B) + b through b."""
+        found: list = []
+        for basis in self.bases():
+            side = basis if dual else frozenset(self.ground) - basis
+            seen = {x for c in found if len(c & side) == 1 for x in c & side}
+            found += [fundamental(basis, x) for x in self.ground if x in side and x not in seen]
         return found
 
     def _circuit_key(self, c):

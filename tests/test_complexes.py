@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matroidlab import complexes
 from matroidlab.complexes import (
     HVector,
     Ordering,
@@ -10,6 +11,7 @@ from matroidlab.complexes import (
     broken_circuits,
     f_h_vectors,
     h_recursion_check,
+    h_vector,
 )
 from matroidlab.errors import BadParams, DegenerateElement
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
@@ -108,12 +110,14 @@ def random_graphic(seed):
     "binary1", "binary2", "binary3", "graphic1", "graphic2", "graphic3",
 ))
 def test_h_vector_does_not_depend_on_the_ordering(m):
+    # h_vector caches the h of the first ordering it is asked, a shuffled one
     base = f_h_vectors(m, m.ground)
     rng = random.Random(f"h:{len(m.ground)}:{m.rank()}")
     for _ in range(5):
         labels = list(m.ground)
         rng.shuffle(labels)
         assert f_h_vectors(m, Ordering(labels)) == base, labels
+        assert h_vector(m, Ordering(labels)) == base[1], labels
 
 
 @pytest.mark.parametrize("m", (
@@ -143,6 +147,18 @@ def test_h_recursion_on_graphs():
             (0,) + rep.h_contract.entries + (0,) * 3,
         )][: len(rep.h.entries)]
         assert tuple(total) == rep.h.entries
+
+
+def test_h_recursion_walks_the_faces_of_m_once(monkeypatch):
+    # each check walks the faces of M minus e and M/e, and M's own h is cached
+    m = named_matroid("k4")
+    walks = []
+    uncached = complexes.f_h_vectors
+    monkeypatch.setattr(complexes, "f_h_vectors", lambda *a: walks.append(a) or uncached(*a))
+    reversed_order = Ordering(reversed(m.ground))
+    for e in m.ground:
+        assert h_recursion_check(m, reversed_order, e).h == uncached(m, m.ground)[1]
+    assert len(walks) == 2 * len(m.ground) + 1
 
 
 def test_h_recursion_rejects_degenerate_elements():

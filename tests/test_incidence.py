@@ -9,6 +9,7 @@ from matroidlab.errors import BadParams, NotRegular, NotStandardOrdering
 from matroidlab.families import named_matroid, phi_matroid, theta_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
 from matroidlab.incidence import (
+    _orthogonal as sparse_orthogonal,
     basis_is_nonsingular,
     check_rank_identities,
     full_circuit_matrix,
@@ -20,8 +21,21 @@ from matroidlab.linalg import Matrix
 from matroidlab.matroids import from_graph, from_matrix, uniform
 from matroidlab.verify import family_fixtures, named_fixtures, uniform_fixtures
 from test_linalg import rref_rows
+from test_regularity import columns
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
+
+
+def _dot(field, u, v):
+    acc = field.zero()
+    for x, y in zip(u, v):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def _orthogonal(a, b) -> bool:
+    """Every row of a against every row of b, over all columns."""
+    return all(_dot(a.field, u, v) == a.field.zero() for u in a.entries for v in b.entries)
 
 
 def test_fundamental_shapes_u23_over_q():
@@ -36,8 +50,7 @@ def test_fundamental_shapes_u23_over_q():
     assert fm.cocircuit_matrix.entries[0][1] == Fraction(1)
     assert fm.cocircuit_matrix.entries[1][2] == Fraction(1)
     assert fm.cocircuit_matrix.entries[0][2] == Fraction(0)
-    prod = fm.circuit_matrix.matmul(fm.cocircuit_matrix.transpose())
-    assert prod.is_zero()
+    assert _orthogonal(fm.circuit_matrix, fm.cocircuit_matrix)
 
 
 def test_fundamental_rows_support_matches_oracle():
@@ -93,7 +106,24 @@ def test_full_matrices_first_nonzero_is_one():
         for row in cm.entries + dm.entries:
             lead = next(x for x in row if x != zero)
             assert lead == one
-        assert cm.matmul(dm.transpose()).is_zero()
+        assert _orthogonal(cm, dm)
+
+
+@pytest.mark.parametrize("name", ("gf2", "gf3", "q"))
+def test_sparse_orthogonality_equals_the_dense_products(name):
+    field = field_from_name(name)
+    rng = random.Random(f"orthogonal:{name}")
+    seen = set()
+    for _ in range(300):
+        a, b = (
+            Matrix.from_int_rows(field, [[rng.choice((0, 0, 1, -1)) for _ in range(4)]
+                                         for _ in range(rng.randint(0, 3))])
+            for _ in range(2)
+        )
+        want = _orthogonal(a, b)
+        assert sparse_orthogonal(field, a, b) == want, (a.entries, b.entries)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_rank_identities_on_graphs():
@@ -131,7 +161,7 @@ def test_basis_nonsingular_on_rows_equals_the_dense_column_rank(name):
             rows = fundamental_rows(m, basis, field)
             for sub in combinations(m.ground, r):
                 idx = [ordering.index(e) for e in sub]
-                dense = r == 0 or cm.select_columns(idx).rank() == r
+                dense = r == 0 or columns(cm, idx).rank() == r
                 assert basis_is_nonsingular(rows, sub, field) == dense, (m, basis, sub)
 
 
@@ -203,7 +233,7 @@ def test_fundamental_rows_cached_per_field_and_basis():
 def _ref_representation(matroid, field, labels):
     rep = matroid.representation_over(field)
     pos = {lab: j for j, lab in enumerate(rep.col_labels)}
-    return rep.select_columns([pos[lab] for lab in labels])
+    return columns(rep, [pos[lab] for lab in labels])
 
 
 def _ref_null_space(m):
@@ -231,7 +261,7 @@ def _ref_normalize(field, row):
 
 def _ref_circuit_row(rep, labels, circuit, field):
     idx = [i for i, lab in enumerate(labels) if lab in circuit]
-    ns = _ref_null_space(rep.select_columns(idx))
+    ns = _ref_null_space(columns(rep, idx))
     z = field.zero()
     assert ns.nrows == 1 and all(x != z for x in ns.entries[0])
     row = [z] * len(labels)
@@ -243,11 +273,11 @@ def _ref_circuit_row(rep, labels, circuit, field):
 def _ref_cocircuit_row(rep, labels, cocircuit, field):
     out_idx = [i for i, lab in enumerate(labels) if lab not in cocircuit]
     if out_idx:
-        left = _ref_null_space(rep.select_columns(out_idx).transpose())
+        left = _ref_null_space(Matrix(field, list(zip(*columns(rep, out_idx).entries))))
     else:
         left = Matrix.identity(field, rep.nrows)
     assert left.nrows == 1
-    v = Matrix(field, [left.entries[0]]).matmul(rep).entries[0]
+    v = [_dot(field, left.entries[0], col) for col in zip(*rep.entries)]
     z = field.zero()
     assert frozenset(lab for lab, x in zip(labels, v) if x != z) == frozenset(cocircuit)
     return _ref_normalize(field, v)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +14,7 @@ from matroidlab.errors import (
     NotRegular,
     Overbudget,
 )
-from matroidlab.families import named_matroid
+from matroidlab.families import named_matroid, phi_matroid, theta_matroid
 from matroidlab.fields import GF2_FIELD, Q_FIELD, field_from_name
 from matroidlab.linalg import Matrix
 from matroidlab.matroids import (
@@ -29,7 +29,7 @@ from matroidlab.matroids import (
     uniform,
 )
 from matroidlab.verify import family_fixtures, named_fixtures, uniform_fixtures
-from test_regularity import minor_rank
+from test_regularity import columns, minor_rank
 
 TRIANGLE = (("a", "b"), ("b", "c"), ("c", "a"))
 
@@ -267,6 +267,73 @@ def test_cocircuit_transversal_oracle():
         assert set(m.cocircuits()) == set(cocircuits_via_transversals(m))
 
 
+def minimal_scan(m, indep, size_limit) -> tuple:
+    """Minimal dependent sets under the oracle `indep`, found by testing every
+    subset up to size_limit elements by increasing size, in _circuit_key order."""
+    found = []
+    for k in range(1, size_limit + 1):
+        for c in combinations(m.ground, k):
+            s = frozenset(c)
+            if not any(f <= s for f in found) and not indep(s):
+                found.append(s)
+    return tuple(sorted(found, key=m._circuit_key))
+
+
+def _scan_corpus():
+    """Every uniform and named fixture, U(0,0), U(0,2), theta and phi up to
+    sum 9 rebuilt from JSON (so their circuits are not seeded), circuit-
+    defined minors and a parallel connection, a graph and a column matroid
+    with loops, and 150 seeded matrices each over gf2, gf3 and q."""
+    out = [m for _, m in uniform_fixtures() + named_fixtures()]
+    out += [uniform(0, 0), uniform(0, 2)]
+    for k in range(1, 5):
+        for sizes in product(range(2, 10), repeat=k):
+            if sum(sizes) <= 9:
+                out += [matroid_from_json(build(sizes)[0].to_json()) for build in (theta_matroid, phi_matroid)]
+    k4 = named_matroid("k4")
+    out += [k4.delete(["e1"]), k4.contract(["e1"])]
+    out.append(parallel_connection(
+        from_graph(TRIANGLE, labels=("l1", "l2", "p")), from_graph(TRIANGLE, labels=("p", "r1", "r2")), "p"
+    ))
+    # a loop, two parallel pairs and a pendant edge; a zero column and a coloop
+    out.append(from_graph(TRIANGLE + (("a", "a"), ("a", "b"), ("b", "c"), ("c", "d"))))
+    out.append(from_matrix(Matrix.from_int_rows(Q_FIELD, [[0, 1, 1, 0, 1], [0, 0, 0, 1, 0], [0, 1, 1, 0, 1]])))
+    # U(2,4) over gf3, which no binary matrix represents
+    out.append(from_matrix(Matrix.from_int_rows(field_from_name("gf3"), [[1, 0, 1, 1], [0, 1, 1, 2]])))
+    rng = random.Random("circuits off the bases")
+    for name, values in (("gf2", (0, 1)), ("gf3", (0, 1, 2)), ("q", (0, 1, -1))):
+        field = field_from_name(name)
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 8)
+            rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+            out.append(from_matrix(Matrix.from_int_rows(field, rows)))
+    return out
+
+
+def test_circuits_and_cocircuits_match_the_subset_scan():
+    # circuits() and cocircuits() read the fundamental (co)circuits off the
+    # bases; the scan tests every small subset and shares only the oracle
+    corpus = _scan_corpus()
+    kinds = {m.backend.kind for m in corpus}
+    assert kinds == {"uniform", "column", "graphic", "circuits"} and len(corpus) == 576
+    for m in corpus:
+        n, r = len(m.ground), m.rank()
+        assert m.circuits() == minimal_scan(m, m.is_independent, r + 1), m.to_json()
+        assert m.cocircuits() == minimal_scan(m, m.is_coindependent, n - r + 1), m.to_json()
+
+
+def test_unseeded_circuits_need_few_queries():
+    # theta (6,6,6) read from JSON has no seeded circuits; the subset scan
+    # asked the backend 62,472 times for them
+    seeded = theta_matroid((6, 6, 6))[0]
+    m = matroid_from_json(seeded.to_json())
+    queries = []
+    indep = m.backend.indep
+    m.backend.indep = lambda s: queries.append(s) or indep(s)
+    assert m.circuits() == seeded.circuits()
+    assert len(queries) <= 2000
+
+
 def circuit_axioms_ok(circuits) -> bool:
     """(i) nonempty, (ii) antichain, (iii) elimination axiom."""
     circs = [frozenset(c) for c in circuits]
@@ -305,7 +372,7 @@ def assert_oracle_is_exact_rank(m):
     n = len(m.ground)
     for k in range(n + 1):
         for cols in combinations(range(n), k):
-            want = minor_rank(mat.field, mat.select_columns(cols).entries) == k
+            want = minor_rank(mat.field, columns(mat, cols).entries) == k
             assert m.is_independent([m.ground[j] for j in cols]) == want, cols
 
 

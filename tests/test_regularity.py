@@ -17,6 +17,11 @@ from matroidlab.linalg import Matrix, tu_signing
 from matroidlab.matroids import from_matrix, uniform
 
 
+def columns(m: Matrix, idx) -> Matrix:
+    """The columns of m at the indices idx, in that order."""
+    return Matrix(m.field, [[r[j] for j in idx] for r in m.entries])
+
+
 def _det(rows) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(rows)
@@ -103,7 +108,7 @@ def _random_network_matrix(rng) -> list:
     m = Matrix.from_int_rows(Q_FIELD, inc)
     basis = []
     for j in range(len(arcs)):
-        if m.select_columns(basis + [j]).rank() > len(basis):
+        if columns(m, basis + [j]).rank() > len(basis):
             basis.append(j)
     sf = m.standard_form(basis)
     rest = [j for j in range(len(arcs)) if j not in basis]
